@@ -70,6 +70,13 @@ class ChevalleyModel:
                 [0, -1, 0, 0],
             ])
         self._validate()
+        # the nonzero entries (i, j, c) of each X_alpha, for row and column
+        # operations; _validate keeps X_alpha off-diagonal, so entry (i, j)
+        # of e(alpha, t) is c*t
+        self._letters = {
+            r: tuple((i, j, x.entry(i, j)) for i in range(self.n)
+                     for j in range(self.n) if x.entry(i, j) != 0)
+            for r, x in self._nilpotents.items()}
 
     # -- construction ---------------------------------------------------------
 
@@ -107,6 +114,8 @@ class ChevalleyModel:
                 raise ModelInconsistencyError("X for %r does not square to zero" % (r,))
             if not self.in_lie_algebra(x):
                 raise ModelInconsistencyError("X for %r is outside the Lie algebra" % (r,))
+            if any(x.entry(i, i) != 0 for i in range(self.n)):
+                raise ModelInconsistencyError("X for %r has a diagonal entry" % (r,))
 
     # -- basic elements --------------------------------------------------------
 
@@ -120,23 +129,16 @@ class ChevalleyModel:
         return GroupElement(self, Matrix.identity(self.n, like=like))
 
     def e(self, alpha: Root, t) -> "GroupElement":
-        """Root subgroup element I + t*X_alpha."""
+        """Root subgroup element I + t*X_alpha, tagged with its letter (alpha, t)."""
         t = as_ring_element(t)
-        x = self.nilpotent(alpha)
+        self.nilpotent(alpha)
+        n = self.n
         one = one_like(t)
         zero = zero_like(t)
-        entries = []
-        for i in range(self.n):
-            for j in range(self.n):
-                base = one if i == j else zero
-                c = x.entry(i, j)
-                if c == 0:
-                    entries.append(base)
-                elif c == 1:
-                    entries.append(base + t)
-                else:
-                    entries.append(base + t * scalar_into(c, t))
-        return GroupElement(self, Matrix(self.n, self.n, tuple(entries)))
+        entries = [one if i == j else zero for i in range(n) for j in range(n)]
+        for i, j, c in self._letters[alpha]:
+            entries[i * n + j] += t if c == 1 else t * scalar_into(c, t)
+        return GroupElement(self, Matrix(n, n, tuple(entries)), (alpha, t))
 
     def w(self, alpha: Root, u) -> "GroupElement":
         """Monomial element; u must be a unit of its ring."""
@@ -185,20 +187,43 @@ def build_model(kind: str) -> ChevalleyModel:
 
 
 class GroupElement:
-    """Group element of a Chevalley model: a matrix plus its model."""
+    """Group element of a Chevalley model: a matrix plus its model.
 
-    __slots__ = ("model", "matrix")
+    A root element e(alpha, t) also carries its letter ``root = (alpha, t)``;
+    every other element has ``root = None``.  Equality and hashing ignore it.
+    """
 
-    def __init__(self, model: ChevalleyModel, matrix: Matrix):
+    __slots__ = ("model", "matrix", "root")
+
+    def __init__(self, model: ChevalleyModel, matrix: Matrix, root=None):
         self.model = model
         self.matrix = matrix
+        self.root = root
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
+        """Product; a root element factor acts by column or row operations.
+
+        g * e(alpha, t) = g + g*(t X_alpha) adds t times a column of g to
+        another column for each nonzero entry of X_alpha, and e(alpha, t) * g
+        does the same with rows.  Factors over different entry types take the
+        dense product, so the entry types of the result stay as they were.
+        """
         if not isinstance(other, GroupElement) or other.model is not self.model:
             raise ValueError("group elements from different models")
-        return GroupElement(self.model, self.matrix * other.matrix)
+        a, b = self.matrix, other.matrix
+        if type(a.entries[0]) is type(b.entries[0]):
+            if other.root is not None:
+                return GroupElement(self.model, _add_multiples(
+                    a, b, self.model._letters[other.root[0]], right=True))
+            if self.root is not None:
+                return GroupElement(self.model, _add_multiples(
+                    b, a, self.model._letters[self.root[0]], right=False))
+        return GroupElement(self.model, a * b)
 
     def inverse(self) -> "GroupElement":
+        if self.root is not None:
+            alpha, t = self.root
+            return self.model.e(alpha, -t)
         return GroupElement(self.model, self.matrix.inv())
 
     def conjugate(self, other: "GroupElement") -> "GroupElement":
@@ -222,6 +247,30 @@ class GroupElement:
 
     def __repr__(self):
         return "GroupElement(%r)" % (self.matrix,)
+
+
+def _add_multiples(g: Matrix, e: Matrix, letters, right: bool) -> Matrix:
+    """g * e (right) or e * g (not right) for a root element matrix e.
+
+    For each nonzero entry (i, j) of X_alpha, column j of g gains column i
+    times e[i, j] (right), or row i gains e[i, j] times row j.  Sources are
+    read from g and the sums written to a copy; zero sources are skipped.
+    """
+    n = g.nrows
+    src = g.entries
+    out = list(src)
+    for i, j, _ in letters:
+        coeff = e.entries[i * n + j]
+        if right:
+            s0, d0, step = i, j, n
+        else:
+            s0, d0, step = j * n, i * n, 1
+        for r in range(n):
+            x = src[s0 + r * step]
+            if not is_zero(x):
+                d = d0 + r * step
+                out[d] = out[d] + (x * coeff if right else coeff * x)
+    return Matrix(n, n, tuple(out))
 
 
 # ---------------------------------------------------------------------------

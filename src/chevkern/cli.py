@@ -244,7 +244,7 @@ def run_units(report: Report, cfg, rng):
             try:
                 x.inverse()
                 good = False
-            except Exception:
+            except NotAUnitError:
                 good = True
         ok = ok and good and (is_unit == (x.coeff(0) != 0))
         checked += 1

@@ -992,16 +992,6 @@ def rref(m: Matrix):
     return reduced, rank, basis
 
 
-def column_space_rank(vectors, like=None) -> int:
-    """Rank of the span of coordinate tuples (helper for dimension counts)."""
-    vectors = [tuple(as_ring_element(x) for x in v) for v in vectors]
-    if not vectors:
-        return 0
-    m = Matrix.from_rows(vectors)
-    _, rank, _ = rref(m)
-    return rank
-
-
 # domain descriptors used by the truncated-algebra layer ---------------------
 
 class RationalDomain:

@@ -55,8 +55,8 @@ SYSTEMS = ("A2", "A3", "C2")
 
 def _verdict(num: int, ok: bool, elapsed: float, budget: float, detail: str):
     status = "PASS" if ok else "FAIL"
-    print("ACCEPTANCE %2d %s (%.2fs, budget %gs): %s"
-          % (num, status, elapsed, budget, detail))
+    print("ACCEPTANCE %2d %s (%.2fs, budget %gs, %.0f%% used): %s"
+          % (num, status, elapsed, budget, 100 * elapsed / budget, detail))
     assert ok, "criterion %d failed: %s" % (num, detail)
     assert elapsed < budget, ("criterion %d exceeded its %gs budget (%.2fs)"
                               % (num, budget, elapsed))

@@ -67,6 +67,70 @@ def test_inverse_is_negated_parameter():
         assert g.inverse().matrix == m.e(r, Q(-7)).matrix
 
 
+# --- root elements as row and column operations --------------------------
+
+def _letter_params(ring):
+    """Two parameters s, t and a unit u over Q, Q[e]/(e^3) or Q[s..,t..][e]/(e^2)."""
+    if ring == "Q":
+        return Q(-2, 3), Q(5, 7), Q(3)
+    if ring == "trunc3":
+        algebra = TruncAlgebra(3)
+        return (algebra.element([Q(1, 2), -1, 4]), algebra.element([3, 0, Q(-5, 2)]),
+                algebra.element([2, 1, -1]))
+    algebra = TruncAlgebra(2, PolyDomain())
+    return (algebra.generic("s"), algebra.generic("t"),
+            algebra.one() + algebra.eps(1) * algebra.generic("u"))
+
+
+@pytest.mark.parametrize("ring", ["Q", "trunc3", "generic2"])
+@pytest.mark.parametrize("kind", ["A2", "A3", "C2"])
+def test_root_element_products_match_dense(kind, ring):
+    m = build_model(kind)
+    s, t, u = _letter_params(ring)
+    roots = m.system.roots
+    for k, alpha in enumerate(roots):
+        beta = roots[(k + 1) % len(roots)]
+        e = m.e(alpha, t)
+        g = m.w(beta, u)
+        assert e.root == (alpha, t) and g.root is None
+        assert (g * e).matrix == g.matrix * e.matrix
+        assert (e * g).matrix == e.matrix * g.matrix
+        f = m.e(beta, s)
+        assert (f * e).matrix == f.matrix * e.matrix
+        assert (e * f).matrix == e.matrix * f.matrix
+        assert e.inverse().matrix == e.matrix.inv()
+        assert (g * e).root is None and (e * g).root is None
+
+
+def test_root_element_tag_ignored_by_equality_and_hash():
+    m = build_model("C2")
+    s, t, _ = _letter_params("trunc3")
+    for alpha in m.system.roots:
+        tagged = m.e(alpha, t)
+        plain = GroupElement(m, tagged.matrix)
+        assert plain.root is None
+        assert tagged == plain and plain == tagged
+        assert hash(tagged) == hash(plain)
+        assert len({tagged, plain}) == 1
+
+
+def test_root_element_mixed_models_and_domains():
+    a2, other = build_model("A2"), build_model("A2")
+    alpha = a2.system.roots[0]
+    with pytest.raises(ValueError):
+        a2.e(alpha, Q(1)) * other.e(alpha, Q(1))
+    with pytest.raises(ValueError):
+        a2.identity() * other.e(alpha, Q(1))
+    with pytest.raises(ValueError):
+        other.e(alpha, Q(1)) * a2.identity()
+    # entries over Q times a root element over Q[e]/(e^3): the dense product
+    _, t, _ = _letter_params("trunc3")
+    g, e = a2.identity(), a2.e(alpha, t)
+    for prod, dense in ((g * e, g.matrix * e.matrix), (e * g, e.matrix * g.matrix)):
+        assert prod.matrix == dense
+        assert list(map(type, prod.matrix.entries)) == list(map(type, dense.entries))
+
+
 def test_w_and_h_block_forms():
     m = build_model("A2")
     a = Root((1, -1, 0))

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from chevkern import cli
+from chevkern.rings import TruncElement
 
 
 def run_main(args, tmp_path, name="out.json"):
@@ -137,6 +138,25 @@ def test_failures_flip_exit_code(tmp_path, monkeypatch):
     out = tmp_path / "fail.txt"
     assert cli.main(["units", "--output", str(out)]) == 1
     assert "FAIL forced failure" in out.read_text()
+
+
+def test_units_suite_does_not_count_other_errors_as_pass(tmp_path, monkeypatch):
+    # a non-unit's inverse must fail with NotAUnitError; any other error is
+    # a fault of the program, not a passing check
+    original = TruncElement.inverse
+
+    def broken(x):
+        if not x.is_unit():
+            raise ZeroDivisionError("injected")
+        return original(x)
+
+    args = ["units", "--samples", "100", "--format", "text"]
+    code, text = run_main(args, tmp_path, "ok.txt")
+    assert code == 0
+    assert "PASS unit criterion and inverses mod e^" in text
+    monkeypatch.setattr(TruncElement, "inverse", broken)
+    with pytest.raises(ZeroDivisionError, match="injected"):
+        cli.main(args + ["--output", str(tmp_path / "broken.txt")])
 
 
 def test_module_entry_point():
