@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from .kernel import (
     Matrix,
+    SingularMatrixError,
     _pdivmod,
     _peval,
     _pmul,
@@ -81,10 +82,15 @@ class TracelessMatrices:
         return tuple(out)
 
     def from_coords(self, coords: Sequence) -> Matrix:
-        acc = Matrix.zero(self.n, self.n)
-        for c, b in zip(coords, self._basis):
-            acc = acc + b.scale(Fraction(c))
-        return acc
+        cs = [Fraction(c) for c in coords]
+        if len(cs) != self.dim:
+            raise ValueError("expected %d coordinates, got %d" % (self.dim, len(cs)))
+        n = self.n
+        # diagonal entry k is c_k - c_{k-1} for the steps E_kk - E_{k+1,k+1}
+        steps = [Fraction(0)] + cs[n * n - n:] + [Fraction(0)]
+        off = iter(cs)
+        return Matrix(n, n, tuple(steps[i + 1] - steps[i] if i == j else next(off)
+                                  for i in range(n) for j in range(n)))
 
     def bracket(self, x: Matrix, y: Matrix) -> Matrix:
         return x * y - y * x
@@ -105,13 +111,6 @@ def killing_form(lie: TracelessMatrices, x: Matrix, y: Matrix) -> Fraction:
     return (ad_matrix(lie, x) * ad_matrix(lie, y)).trace()
 
 
-def killing_gram(lie: TracelessMatrices) -> Matrix:
-    """Gram matrix of the ad-trace pairing on the chosen basis."""
-    ads = [ad_matrix(lie, b) for b in lie.basis()]
-    return Matrix.from_rows([[(ads[i] * ads[j]).trace() for j in range(lie.dim)]
-                             for i in range(lie.dim)])
-
-
 # ---------------------------------------------------------------------------
 # Heisenberg-like groups
 
@@ -126,20 +125,14 @@ class HeisenbergLikeGroup:
     def __init__(self, lie: TracelessMatrices, form: Optional[Callable] = None):
         self.lie = lie
         if form is None:
-            # same values as killing_form, with the basis Gram matrix cached
-            gram = killing_gram(lie)
+            # killing_form through its identity 2n * tr(xy), on members of
+            # the algebra (element() checks membership)
+            n = lie.n
 
-            def form(x, y, _g=gram):
-                cx = lie.coords(x)
-                cy = lie.coords(y)
-                total = Fraction(0)
-                for i, a in enumerate(cx):
-                    if a == 0:
-                        continue
-                    for j, b in enumerate(cy):
-                        if b != 0:
-                            total += a * b * _g.entry(i, j)
-                return total
+            def form(x, y):
+                xe, ye = x.entries, y.entries
+                return 2 * n * sum(xe[i * n + k] * ye[k * n + i]
+                                   for i in range(n) for k in range(n))
         self.form = form
 
     def element(self, a: Matrix, b: Matrix, c) -> "HeisenbergElement":
@@ -970,32 +963,28 @@ def reassemble(report: DecompositionReport) -> ReassemblyCheck:
     Only available when every factor is principal.  The factor bases
     (e, g, g^2, ...) map to (1, e, e^2, ...) of K[e]/(e^d); the induced linear
     map is checked to be multiplicative on all basis pairs and to preserve
-    the unit.
+    the unit.  Factor bases that are not a basis of the algebra raise
+    ArithmeticError.
     """
     if not report.all_principal:
         raise ValueError("reassembly needs all factors principal")
     algebra = report.algebra
+    n = algebra.dim
     factors = [TruncAlgebra(f.trunc_order) for f in report.factors]
     target = SumAlgebra(factors)
     new_basis = [v for f in report.factors for v in f.basis]
-    images = []
-    for fi, f in enumerate(report.factors):
-        for k in range(f.trunc_order):
-            comps = []
-            for gi, g in enumerate(factors):
-                if gi == fi:
-                    comps.append(g.eps(k) if k > 0 else g.one())
-                else:
-                    comps.append(g.zero())
-            images.append(target.element(comps))
+    if len(new_basis) != n:
+        raise ArithmeticError("factor bases have %d vectors, not %d" % (len(new_basis), n))
+    try:
+        change = Matrix.from_rows([[v[i] for v in new_basis] for i in range(n)]).inv()
+    except SingularMatrixError:
+        raise ArithmeticError("factor bases are not linearly independent") from None
+    rows = [change.row(i) for i in range(n)]
+    offsets = list(zip(factors, itertools.accumulate([0] + [g.d for g in factors])))
 
     def phi(vec):
-        coords = _solve_coords(new_basis, vec)
-        acc = target.zero()
-        for c, img in zip(coords, images):
-            if c != 0:
-                acc = acc + img * c
-        return acc
+        coords = [sum(a * b for a, b in zip(row, vec) if b) for row in rows]
+        return target.element([g.element(coords[off:off + g.d]) for g, off in offsets])
 
     checked = 0
     ok = phi(algebra.unit) == target.one()

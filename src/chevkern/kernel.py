@@ -773,6 +773,7 @@ class Matrix:
         self._shape_check(other)
         n, m, p = self.nrows, self.ncols, other.ncols
         out = []
+        zero = None
         for i in range(n):
             ri = self.entries[i * m:(i + 1) * m]
             for j in range(p):
@@ -786,7 +787,14 @@ class Matrix:
                         continue
                     prod = a * b
                     acc = prod if acc is None else acc + prod
-                out.append(acc if acc is not None else zero_like(self.entries[0]))
+                if acc is None:
+                    if zero is None:
+                        # an empty sum is zero of the product's domain: the
+                        # larger one when a factor is over Q, as in from_rows
+                        a = self.entries[0]
+                        zero = zero_like(other.entries[0] if isinstance(a, Fraction) else a)
+                    acc = zero
+                out.append(acc)
         return Matrix(n, p, tuple(out))
 
     def __rmul__(self, other):

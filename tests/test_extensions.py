@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -89,6 +90,33 @@ def test_coords_roundtrip_and_membership():
         assert lie.from_coords(lie.coords(x)) == x
     with pytest.raises(ValueError):
         lie.coords(Matrix.identity(3))
+
+
+def test_from_coords_rejects_wrong_coordinate_count():
+    lie = TracelessMatrices(3)
+    coords = [Fraction(k) for k in range(1, lie.dim + 1)]
+    assert lie.coords(lie.from_coords(coords)) == tuple(coords)
+    with pytest.raises(ValueError):
+        lie.from_coords(coords[:-1])
+    with pytest.raises(ValueError):
+        lie.from_coords(coords + [Fraction(1)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_default_pairing_equals_killing_form(n):
+    lie = TracelessMatrices(n)
+    form = HeisenbergLikeGroup(lie).form
+    basis = lie.basis()
+    ads = [ad_matrix(lie, b) for b in basis]
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            # trace(ad x ad y), killing_form's definition, with ad cached
+            assert form(x, y) == (ads[i] * ads[j]).trace()
+    assert form(basis[0], basis[-1]) == killing_form(lie, basis[0], basis[-1])
+    rng = random.Random(100 + n)
+    for _ in range(20):
+        x, y = lie.random_element(rng), lie.random_element(rng)
+        assert form(x, y) == killing_form(lie, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +387,64 @@ def test_decompose_not_principal():
     assert "NOT-PRINCIPAL" in report.describe()
     with pytest.raises(ValueError):
         reassemble(report)
+
+
+def _cube_factor_report():
+    # X^3 (X - 1): factors K[e]/(e^1) and K[e]/(e^3)
+    report = decompose_algebra(FinDimAlgebra.from_univariate_quotient([0, 0, 0, -1, 1]))
+    k = next(i for i, f in enumerate(report.factors) if f.trunc_order == 3)
+    return report, k
+
+
+def test_reassemble_rejects_swapped_generator_powers():
+    report, k = _cube_factor_report()
+    assert reassemble(report).ok
+    e, g, g2 = report.factors[k].basis
+    report.factors[k] = dataclasses.replace(report.factors[k], basis=(e, g2, g))
+    check = reassemble(report)
+    assert check.ok is False
+    assert check.checked_products == 16
+
+
+def test_reassemble_rejects_short_factor_basis():
+    report, k = _cube_factor_report()
+    report.factors[k] = dataclasses.replace(report.factors[k],
+                                            basis=report.factors[k].basis[:-1])
+    with pytest.raises(ArithmeticError):
+        reassemble(report)
+
+
+def test_reassemble_rejects_dependent_factor_basis():
+    report, k = _cube_factor_report()
+    e, g, _ = report.factors[k].basis
+    report.factors[k] = dataclasses.replace(report.factors[k], basis=(e, g, g))
+    with pytest.raises(ArithmeticError):
+        reassemble(report)
+
+
+def _expand(points):
+    """Ascending coefficients of prod (X - r)^m over (r, m) pairs."""
+    coeffs = [Fraction(1)]
+    for r, m in points:
+        for _ in range(m):
+            coeffs = [(coeffs[k - 1] if k else 0) - r * (coeffs[k] if k < len(coeffs) else 0)
+                      for k in range(len(coeffs) + 1)]
+    return coeffs
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 2), (1, 3)],
+    [(0, 1), (2, 3), (-1, 2)],
+    [(0, 4), (1, 1), (3, 2)],
+    [(0, 2), (1, 2), (-1, 2), (2, 2)],
+])
+def test_reassemble_round_trip_univariate_quotients(points):
+    alg = FinDimAlgebra.from_univariate_quotient(_expand(points))
+    report = decompose_algebra(alg)
+    assert sorted(f.trunc_order for f in report.factors) == sorted(m for _, m in points)
+    check = reassemble(report)
+    assert check.ok
+    assert check.checked_products == alg.dim ** 2
 
 
 def test_decompose_irrational_residue_field():
