@@ -370,23 +370,25 @@ def run_extensions(report: Report, cfg, rng):
             ("two nilpotent generators", FinDimAlgebra.two_generator_square_zero()),
         ]
     for label, algebra in algebras:
+        name = "decomposition of %s" % label
         try:
             decomposition = decompose_algebra(algebra)
+            check = reassemble(decomposition) if decomposition.all_principal else None
         except IdempotentLiftingError as exc:
-            report.add("decomposition of %s" % label, True,
-                       verdict="irrational residue field", message=str(exc))
+            report.add(name, True, verdict="irrational residue field", message=str(exc))
+            continue
+        except ArithmeticError as exc:
+            # a self-check inside the decomposition or the reassembly failed
+            report.add(name, False, error=type(exc).__name__, message=str(exc))
             continue
         detail = {
             "radical_dim": decomposition.radical_dim,
             "factors": decomposition.describe(),
         }
-        if decomposition.all_principal:
-            check = reassemble(decomposition)
-            report.add("decomposition of %s" % label, check.ok,
-                       reassembled=str(check.sum_algebra), **detail)
+        if check is None:
+            report.add(name, True, verdict="maximal ideal not principal", **detail)
         else:
-            report.add("decomposition of %s" % label, True,
-                       verdict="maximal ideal not principal", **detail)
+            report.add(name, check.ok, reassembled=str(check.sum_algebra), **detail)
 
 
 def run_derivations(report: Report, cfg, rng):

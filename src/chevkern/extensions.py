@@ -433,8 +433,10 @@ class FinDimAlgebra:
 
     The structure tensor c[i][j][k] gives basis products
     b_i * b_j = sum_k c[i][j][k] b_k; elements are coordinate tuples.
-    Commutativity, associativity, and the unit law are verified at
-    construction.
+    Construction verifies commutativity on every basis pair, the unit law on
+    every basis vector, and associativity on every basis triple, the last
+    through the symmetry of (b_i b_j) b_k in i, j and k.  Products read only
+    the nonzero structure constants.
     """
 
     def __init__(self, names: Sequence[str], tensor, unit: Sequence):
@@ -449,48 +451,60 @@ class FinDimAlgebra:
         self.unit = tuple(Fraction(u) for u in unit)
         if len(self.unit) != n:
             raise AlgebraAxiomError("unit vector has wrong length")
+        # the nonzero (k, c) entries of each product b_i * b_j
+        self._table = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
+                                  for row in plane) for plane in self.tensor)
         self._validate()
 
     # -- validation -------------------------------------------------------------
 
     def _validate(self):
         n = self.dim
-        es = [tuple(Fraction(1) if i == k else Fraction(0) for i in range(n))
-              for k in range(n)]
+        tensor = self.tensor
         for i in range(n):
-            for j in range(i, n):
-                if self.mult(es[i], es[j]) != self.mult(es[j], es[i]):
+            for j in range(i + 1, n):
+                if tensor[i][j] != tensor[j][i]:
                     raise AlgebraAxiomError(
                         "not commutative at basis pair (%d, %d)" % (i, j))
         for i in range(n):
-            if self.mult(self.unit, es[i]) != es[i]:
+            if self.mult(self.unit, self.basis_vector(i)) != self.basis_vector(i):
                 raise AlgebraAxiomError("unit fails on basis element %d" % i)
+        # With commutativity, b_i (b_j b_k) = (b_j b_k) b_i, so associativity
+        # on all triples says W(i, j, k) = (b_i b_j) b_k is invariant under
+        # cyclic shifts; W is symmetric in i, j already, so this is full
+        # symmetry.  W is computed for i <= j in lexicographic order and kept
+        # when k >= j (a sorted triple); for k < j the sorted triple is
+        # (min(i, k), max(i, k), j), and W(i, j, k) differs from it exactly
+        # when (b_k b_i) b_j != b_k (b_i b_j).
+        table = self._table
+        w = {}
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
+                bij = table[i][j]
                 for k in range(n):
-                    lhs = self.mult(self.mult(es[i], es[j]), es[k])
-                    rhs = self.mult(es[i], self.mult(es[j], es[k]))
-                    if lhs != rhs:
+                    out = [Fraction(0)] * n
+                    for l, c in bij:
+                        for m, d in table[l][k]:
+                            out[m] += c * d
+                    if k >= j:
+                        w[i, j, k] = out
+                    elif out != w[min(i, k), max(i, k), j]:
                         raise AlgebraAxiomError(
-                            "not associative at basis triple (%d, %d, %d)" % (i, j, k))
+                            "not associative at basis triple (%d, %d, %d)" % (k, i, j))
 
     # -- arithmetic ---------------------------------------------------------------
 
     def mult(self, x: Sequence, y: Sequence) -> tuple:
-        n = self.dim
-        out = [Fraction(0)] * n
+        out = [Fraction(0)] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if xi == 0:
+            if not xi:
                 continue
-            plane = self.tensor[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
+            plane = self._table[i]
+            for j, yj in ys:
                 f = xi * yj
-                row = plane[j]
-                for k in range(n):
-                    if row[k] != 0:
-                        out[k] += f * row[k]
+                for k, c in plane[j]:
+                    out[k] += f * c
         return tuple(out)
 
     def power(self, x: Sequence, m: int) -> tuple:
@@ -504,6 +518,20 @@ class FinDimAlgebra:
 
     def basis_vector(self, k: int) -> tuple:
         return tuple(Fraction(1) if i == k else Fraction(0) for i in range(self.dim))
+
+    def trace_form(self) -> Matrix:
+        """Gram matrix Tr(b_i b_j) of the regular representation.
+
+        Read from the structure constants: Tr(L_{b_i b_j}) =
+        sum_l c_ijl tr(L_l) with tr(L_l) = sum_k c_lkk.  This equals
+        trace(L_i L_j) because the algebra is associative (L_{xy} = L_x L_y).
+        """
+        n = self.dim
+        traces = [sum((self.tensor[l][k][k] for k in range(n)), Fraction(0))
+                  for l in range(n)]
+        return Matrix.from_rows([[sum((c * traces[l] for l, c in self._table[i][j]),
+                                      Fraction(0))
+                                  for j in range(n)] for i in range(n)])
 
     # -- constructors ----------------------------------------------------------------
 
@@ -738,7 +766,12 @@ def _rational_roots(poly):
 
 
 class _QuotientView:
-    """The semisimple quotient A/rad(A) with explicit projection and section."""
+    """The semisimple quotient A/rad(A) with explicit projection and section.
+
+    The section spans basis vectors of A complementary to the radical, so
+    lift places coordinates at their indices; project takes the matching
+    rows of the inverse change of basis (radical basis, then complement).
+    """
 
     def __init__(self, algebra: FinDimAlgebra, rad_basis):
         self.algebra = algebra
@@ -746,27 +779,24 @@ class _QuotientView:
         pivots = []
         for v in rad_basis:
             _add_to_span(pivots, v)
-        comp = []
-        for k in range(n):
-            if _add_to_span(pivots, algebra.basis_vector(k)):
-                comp.append(algebra.basis_vector(k))
-        self.comp = comp
-        self.dim = len(comp)
-        cols = list(rad_basis) + comp
-        m = Matrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
-        self._minv = m.inv()
-        self._nrad = len(rad_basis)
+        self._comp = [k for k in range(n)
+                      if _add_to_span(pivots, algebra.basis_vector(k))]
+        self.dim = len(self._comp)
+        cols = list(rad_basis) + [algebra.basis_vector(k) for k in self._comp]
+        minv = Matrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)]).inv()
+        self._rows = [minv.row(len(rad_basis) + t) for t in range(self.dim)]
+        # project(b_k) for every basis vector b_k of A: column k of the rows
+        self.basis_projections = tuple(tuple(row[k] for row in self._rows)
+                                       for k in range(n))
 
     def project(self, vec) -> tuple:
-        col = self._minv * Matrix.from_rows([[v] for v in vec])
-        return tuple(col.entry(self._nrad + k, 0) for k in range(self.dim))
+        return tuple(sum((a * b for a, b in zip(row, vec) if b), Fraction(0))
+                     for row in self._rows)
 
     def lift(self, qvec) -> tuple:
-        n = self.algebra.dim
-        out = [Fraction(0)] * n
-        for c, b in zip(qvec, self.comp):
-            for i in range(n):
-                out[i] += c * b[i]
+        out = [Fraction(0)] * self.algebra.dim
+        for k, c in zip(self._comp, qvec):
+            out[k] = c
         return tuple(out)
 
     def mult(self, x, y) -> tuple:
@@ -780,8 +810,7 @@ class _QuotientView:
 
 
 def _block_dim(view: _QuotientView, u) -> int:
-    return _span_rank([view.mult(u, view.project(view.algebra.basis_vector(k)))
-                       for k in range(view.algebra.dim)])
+    return _span_rank([view.mult(u, p) for p in view.basis_projections])
 
 
 def _minpoly_on_block(view: _QuotientView, u, y):
@@ -800,8 +829,8 @@ def _minpoly_on_block(view: _QuotientView, u, y):
 
 def _split_block(view: _QuotientView, u):
     """Split an idempotent u using a rational eigenvalue, if any exists."""
-    for k in range(view.algebra.dim):
-        xbar = view.mult(u, view.project(view.algebra.basis_vector(k)))
+    for p in view.basis_projections:
+        xbar = view.mult(u, p)
         poly = _minpoly_on_block(view, u, xbar)
         if len(poly) <= 2:
             continue
@@ -837,43 +866,31 @@ def _eval_poly_in_block(view: _QuotientView, u, y, poly):
 def decompose_algebra(algebra: FinDimAlgebra) -> DecompositionReport:
     """Split a commutative algebra into local factors via lifted idempotents.
 
-    The radical is the kernel of the trace form of the regular representation;
+    The radical is the kernel of the trace form Tr(b_i b_j) of the regular
+    representation, read from the structure constants (trace_form);
     idempotents of the semisimple quotient are found through rational
     eigenvalues (a non-rational residue field raises IdempotentLiftingError)
     and lifted by the Newton iteration e -> 3e^2 - 2e^3.  Each factor is
     examined for principality of its maximal ideal.
     """
     n = algebra.dim
-    # trace form of the regular representation
-    left_mult = []
-    for i in range(n):
-        rows = [[algebra.tensor[i][j][k] for j in range(n)] for k in range(n)]
-        left_mult.append(Matrix.from_rows(rows))
-    gram = Matrix.from_rows([[(left_mult[i] * left_mult[j]).trace()
-                              for j in range(n)] for i in range(n)])
-    _, _, rad_basis = rref(gram)
+    _, _, rad_basis = rref(algebra.trace_form())
     rad_basis = list(rad_basis)
     view = _QuotientView(algebra, rad_basis)
 
-    blocks = [view.unit()]
-    while True:
-        new_blocks = []
-        changed = False
-        for u in blocks:
-            if _block_dim(view, u) == 1:
-                new_blocks.append(u)
-                continue
-            split = _split_block(view, u)
-            if split is None:
-                new_blocks.append(u)
-            else:
-                new_blocks.extend(split)
-                changed = True
-        blocks = new_blocks
-        if not changed:
-            break
-    for u in blocks:
+    # split blocks depth first, so the leaves keep the order of the splits;
+    # each block is ranked once
+    blocks = []
+    todo = [view.unit()]
+    while todo:
+        u = todo.pop()
         bd = _block_dim(view, u)
+        split = _split_block(view, u) if bd > 1 else None
+        if split is None:
+            blocks.append((u, bd))
+        else:
+            todo.extend(reversed(split))
+    for u, bd in blocks:
         if bd > 1:
             raise IdempotentLiftingError(
                 "semisimple block of dimension %d has no rational idempotent "
@@ -881,7 +898,7 @@ def decompose_algebra(algebra: FinDimAlgebra) -> DecompositionReport:
 
     # lift the idempotents through the radical
     lifted = []
-    for u in blocks:
+    for u, _ in blocks:
         e = view.lift(u)
         for _ in range(4 * n + 4):
             e2 = algebra.mult(e, e)
@@ -986,13 +1003,12 @@ def reassemble(report: DecompositionReport) -> ReassemblyCheck:
         coords = [sum(a * b for a, b in zip(row, vec) if b) for row in rows]
         return target.element([g.element(coords[off:off + g.d]) for g, off in offsets])
 
+    images = [phi(algebra.basis_vector(i)) for i in range(n)]
     checked = 0
     ok = phi(algebra.unit) == target.one()
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            x = algebra.basis_vector(i)
-            y = algebra.basis_vector(j)
-            if phi(algebra.mult(x, y)) != phi(x) * phi(y):
+    for i in range(n):
+        for j in range(n):
+            if phi(algebra.tensor[i][j]) != images[i] * images[j]:
                 ok = False
             checked += 1
     return ReassemblyCheck(sum_algebra=target, ok=ok, checked_products=checked)

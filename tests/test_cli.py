@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +119,52 @@ def test_irrational_residue_field_is_reported_not_failed(tmp_path):
     rec = [r for r in payload["records"] if r["name"] == "decomposition of input"]
     assert rec[0]["status"] == "PASS"
     assert rec[0]["detail"]["verdict"] == "irrational residue field"
+
+
+@pytest.mark.parametrize("target", ["decompose_algebra", "reassemble"])
+def test_extensions_self_check_error_is_a_fail_record(tmp_path, monkeypatch, target):
+    def broken(*args):
+        raise ArithmeticError("lifted idempotents are not orthogonal")
+
+    monkeypatch.setattr(cli, target, broken)
+    code, text = run_main(["extensions", "--format", "json"], tmp_path)
+    assert code == 1
+    records = json.loads(text)["records"]
+    failed = [r for r in records if r["status"] == "FAIL"]
+    # the two-generator algebra is not principal, so it never reaches reassemble
+    expected = (["split quadratic", "mixed quartic", "pure truncation",
+                 "two nilpotent generators"] if target == "decompose_algebra"
+                else ["split quadratic", "mixed quartic", "pure truncation"])
+    assert [r["name"] for r in failed] == ["decomposition of %s" % x for x in expected]
+    assert all(r["detail"] == {"error": "ArithmeticError",
+                               "message": "lifted idempotents are not orthogonal"}
+               for r in failed)
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+# sha256 of the reports, recorded from the seed code
+PINNED_REPORTS = {
+    ("all", "--seed", "42", "--format", "json"):
+        "6174b8c8f994990ed45e71c0f9b7e298fbc0243ebbb15ad17812abc046ada68b",
+    ("extensions", "--input", "data/algebra_mixed.txt", "--format", "json"):
+        "8d2b4ec53f247b30fe4e691880fcf58072f112719bbccead814fd91216f7c3e8",
+    ("extensions", "--input", "data/algebra_mixed.txt", "--format", "text"):
+        "0a4adc6fc9f0f8f30f03c8262da51dfe17c881b551cfea30798723a95a4d1bd8",
+    ("extensions", "--input", "data/algebra_two_generators.txt", "--format", "json"):
+        "7079e6bfae6cc1606cc9f39871f636b479de9c2594d33cc18496657bd3373121",
+    ("extensions", "--input", "data/algebra_two_generators.txt", "--format", "text"):
+        "894e4f7587ffef3ebbd384d6b871fb304e65f2535ec66df68f5cd2f019f04f5a",
+}
+
+
+def test_pinned_report_digests(tmp_path, monkeypatch):
+    # the report names its --input path, so run from the repository root
+    monkeypatch.chdir(REPO)
+    for args, expected in PINNED_REPORTS.items():
+        out = tmp_path / "report"
+        assert cli.main(list(args) + ["--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, args
 
 
 def test_usage_errors():

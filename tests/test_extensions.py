@@ -1,6 +1,8 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from chevkern.extensions import (
     HeisenbergLikeGroup,
     IdempotentLiftingError,
     TracelessMatrices,
+    _QuotientView,
     ad_matrix,
     commutator_lift_invariance,
     decompose_algebra,
@@ -22,7 +25,9 @@ from chevkern.extensions import (
     reassemble,
     splitness_verdict,
 )
-from chevkern.kernel import Matrix
+from chevkern.kernel import Matrix, rref
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def sl2():
@@ -306,6 +311,70 @@ def test_algebra_axiom_validation():
                       ((e0, e1, e2), (e1, z, z), (e2, z, z)), e1)
 
 
+def _associativity_failures(tensor):
+    """Brute force: every basis triple with (b_i b_j) b_k != b_i (b_j b_k)."""
+    n = len(tensor)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = [sum(Fraction(tensor[i][j][l]) * tensor[l][k][m] for l in range(n))
+                       for m in range(n)]
+                rhs = [sum(Fraction(tensor[j][k][l]) * tensor[i][l][m] for l in range(n))
+                       for m in range(n)]
+                if lhs != rhs:
+                    out.append((i, j, k))
+    return out
+
+
+def _assert_validation_matches_brute_force(names, tensor, unit):
+    failures = _associativity_failures(tensor)
+    if not failures:
+        FinDimAlgebra(names, tensor, unit)
+        return False
+    with pytest.raises(AlgebraAxiomError, match="not associative") as info:
+        FinDimAlgebra(names, tensor, unit)
+    named = tuple(int(t) for t in re.findall(r"-?\d+", str(info.value)))
+    assert named in failures
+    return True
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_associativity_check_matches_brute_force(seed):
+    # Q[X]/(f) of dimension 3-5 with 0, 1 or 2 commutative perturbations
+    # outside the unit row, so only associativity can fail
+    rng = random.Random(seed)
+    dim = 3 + seed % 3
+    perturbations = seed // 3 % 3
+    base = FinDimAlgebra.from_univariate_quotient(
+        [rng.randint(-2, 2) for _ in range(dim)] + [1])
+    tensor = [[list(row) for row in plane] for plane in base.tensor]
+    for _ in range(perturbations):
+        i, j, k = rng.randrange(1, dim), rng.randrange(1, dim), rng.randrange(dim)
+        delta = rng.choice((-2, -1, 1, 2))
+        tensor[i][j][k] += delta
+        if i != j:
+            tensor[j][i][k] += delta
+    raised = _assert_validation_matches_brute_force(base.names, tensor, base.unit)
+    assert raised == (perturbations != 0)
+
+
+def test_associativity_failure_seen_only_from_a_larger_first_index():
+    # basis 1, u, v, w with v^2 = u, u^2 = w and all other products of u, v, w
+    # zero: (v v) u = w but (u v) v = 0.  The only (b_i b_j) b_k off its value
+    # at the sorted triple is (2, 2, 1), which has i > k.
+    e = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    z = (0,) * 4
+    tensor = (
+        (e[0], e[1], e[2], e[3]),
+        (e[1], e[3], z, z),
+        (e[2], z, e[1], z),
+        (e[3], z, z, z),
+    )
+    assert sorted(_associativity_failures(tensor)) == [(1, 2, 2), (2, 2, 1)]
+    assert _assert_validation_matches_brute_force(("1", "u", "v", "w"), tensor, e[0])
+
+
 def test_univariate_quotient_table():
     # Q[X]/(X^2 - X): X*X = X
     alg = FinDimAlgebra.from_univariate_quotient([0, -1, 1])
@@ -445,6 +514,60 @@ def test_reassemble_round_trip_univariate_quotients(points):
     check = reassemble(report)
     assert check.ok
     assert check.checked_products == alg.dim ** 2
+
+
+def _dense_trace_gram(alg):
+    """trace(L_i L_j) from dense left-multiplication matrices."""
+    n = alg.dim
+    left = [Matrix.from_rows([[alg.tensor[i][j][k] for j in range(n)] for k in range(n)])
+            for i in range(n)]
+    return Matrix.from_rows([[(left[i] * left[j]).trace() for j in range(n)]
+                             for i in range(n)])
+
+
+def _reversed_basis(alg):
+    """The same algebra with its basis listed in reverse order."""
+    n = alg.dim
+    p = list(reversed(range(n)))
+    tensor = [[[alg.tensor[p[i]][p[j]][p[k]] for k in range(n)] for j in range(n)]
+              for i in range(n)]
+    return FinDimAlgebra([alg.names[i] for i in p], tensor, [alg.unit[i] for i in p])
+
+
+TRACE_FORM_ALGEBRAS = {
+    "algebra_mixed": lambda: FinDimAlgebra.load(DATA / "algebra_mixed.txt"),
+    "algebra_two_generators": lambda: FinDimAlgebra.load(DATA / "algebra_two_generators.txt"),
+    "truncated_5": lambda: FinDimAlgebra.truncated(5),
+    "split_2_3": lambda: FinDimAlgebra.from_univariate_quotient(_expand([(0, 2), (1, 3)])),
+    "split_1_3_2": lambda: FinDimAlgebra.from_univariate_quotient(
+        _expand([(0, 1), (2, 3), (-1, 2)])),
+    # the complement of the radical is then not a leading run of basis vectors
+    "split_2_3_reversed": lambda: _reversed_basis(
+        FinDimAlgebra.from_univariate_quotient(_expand([(0, 2), (1, 3)]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_FORM_ALGEBRAS))
+def test_trace_form_equals_dense_products(name):
+    alg = TRACE_FORM_ALGEBRAS[name]()
+    assert alg.trace_form() == _dense_trace_gram(alg)
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_FORM_ALGEBRAS))
+def test_quotient_view_section_and_radical(name):
+    alg = TRACE_FORM_ALGEBRAS[name]()
+    _, _, rad_basis = rref(_dense_trace_gram(alg))
+    view = _QuotientView(alg, list(rad_basis))
+    assert view.dim == alg.dim - len(rad_basis)
+    zero = (Fraction(0),) * view.dim
+    for t in range(view.dim):
+        q = tuple(Fraction(int(s == t)) for s in range(view.dim))
+        assert view.project(view.lift(q)) == q
+    for r in rad_basis:
+        assert view.project(r) == zero
+    # the cached projections of the basis vectors of the algebra
+    assert view.basis_projections == tuple(view.project(alg.basis_vector(k))
+                                           for k in range(alg.dim))
 
 
 def test_decompose_irrational_residue_field():
