@@ -24,11 +24,12 @@ from typing import Callable, Optional, Sequence
 from .kernel import (
     Matrix,
     SingularMatrixError,
-    _pdivmod,
-    _peval,
-    _pmul,
-    _ptrim,
-    _pxgcd,
+    pdivmod,
+    pmul,
+    ptrim,
+    pxgcd,
+    rational_roots,
+    row_reduce,
     rref,
 )
 from .rings import SumAlgebra, TruncAlgebra
@@ -538,24 +539,22 @@ class FinDimAlgebra:
     @staticmethod
     def from_univariate_quotient(coeffs: Sequence, var: str = "X") -> "FinDimAlgebra":
         """Q[X]/(f) for monic f given by ascending coefficients."""
-        f = _ptrim(tuple(Fraction(c) for c in coeffs))
+        f = ptrim(tuple(Fraction(c) for c in coeffs))
         if not f or f[-1] != 1:
             raise ValueError("defining polynomial must be monic")
         n = len(f) - 1
         if n < 1:
             raise ValueError("defining polynomial must have degree >= 1")
         names = ["1"] + ["%s^%d" % (var, k) if k > 1 else var for k in range(1, n)]
-        tensor = []
-        for i in range(n):
-            plane = []
-            for j in range(n):
-                prod = [Fraction(0)] * (i + j) + [Fraction(1)]
-                _, rem = _pdivmod(tuple(prod), f)
-                plane.append(tuple(rem[k] if k < len(rem) else Fraction(0)
-                                   for k in range(n)))
-            tensor.append(tuple(plane))
+        # X^m mod f for m < 2n - 1, each from the last: X * r reduced by
+        # subtracting its X^n coefficient times f
         unit = tuple(Fraction(1) if k == 0 else Fraction(0) for k in range(n))
-        return FinDimAlgebra(names, tuple(tensor), unit)
+        rems = [unit]
+        for _ in range(2 * n - 2):
+            r = rems[-1]
+            rems.append(tuple(a - r[-1] * c for a, c in zip((Fraction(0),) + r[:-1], f)))
+        tensor = tuple(tuple(rems[i + j] for j in range(n)) for i in range(n))
+        return FinDimAlgebra(names, tensor, unit)
 
     @staticmethod
     def truncated(d: int) -> "FinDimAlgebra":
@@ -671,98 +670,9 @@ class DecompositionReport:
         return " (+) ".join(f.describe() for f in self.factors)
 
 
-def _reduce_against(pivots, vec):
-    """Reduce vec against the running echelon rows; return the remainder."""
-    v = list(vec)
-    for lead, row in pivots:
-        if v[lead] != 0:
-            f = v[lead]
-            for i in range(len(v)):
-                v[i] -= f * row[i]
-    return tuple(v)
-
-
-def _add_to_span(pivots, vec) -> bool:
-    """Try to extend the echelon basis; True if vec was independent."""
-    r = _reduce_against(pivots, vec)
-    for lead, x in enumerate(r):
-        if x != 0:
-            pivots.append((lead, tuple(v / x for v in r)))
-            return True
-    return False
-
-
-def _span_rank(vectors) -> int:
-    pivots = []
-    for v in vectors:
-        _add_to_span(pivots, v)
-    return len(pivots)
-
-
-def _independent_subset(vectors):
-    pivots = []
-    chosen = []
-    for v in vectors:
-        if _add_to_span(pivots, v):
-            chosen.append(v)
-    return chosen
-
-
-def _solve_coords(basis_vectors, target):
-    """Write target as a combination of basis_vectors (assumed independent)."""
-    n = len(target)
-    m = len(basis_vectors)
-    rows = [[basis_vectors[j][i] for j in range(m)] + [target[i]] for i in range(n)]
-    mat = Matrix.from_rows(rows)
-    reduced, rank, _ = rref(mat)
-    coords = [Fraction(0)] * m
-    r = 0
-    for col in range(m):
-        if r < mat.nrows and reduced.entry(r, col) == 1 and all(
-                reduced.entry(rr, col) == 0 for rr in range(mat.nrows) if rr != r):
-            coords[col] = reduced.entry(r, m)
-            r += 1
-    # consistency: rows beyond the rank must have zero rhs
-    for rr in range(r, mat.nrows):
-        if reduced.entry(rr, m) != 0:
-            raise ArithmeticError("target is outside the span")
-    return tuple(coords)
-
-
-def _rational_roots(poly):
-    """All rational roots of a polynomial with Fraction coefficients."""
-    poly = _ptrim(poly)
-    if len(poly) <= 1:
-        return []
-    from math import lcm
-
-    denom = lcm(*[c.denominator for c in poly]) if len(poly) > 1 else 1
-    ints = [int(c * denom) for c in poly]
-    roots = []
-    if ints[0] == 0:
-        roots.append(Fraction(0))
-        while ints and ints[0] == 0:
-            ints = ints[1:]
-    if not ints:
-        return roots
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(m):
-        out = []
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.append(d)
-                out.append(m // d)
-            d += 1
-        return sorted(set(out))
-
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and _peval(poly, cand) == 0:
-                    roots.append(cand)
-    return sorted(roots)
+def _pivots(vectors) -> list:
+    """Indices of the vectors that are independent of the ones before them."""
+    return row_reduce([list(row) for row in zip(*vectors)], len(vectors))
 
 
 class _QuotientView:
@@ -775,16 +685,15 @@ class _QuotientView:
 
     def __init__(self, algebra: FinDimAlgebra, rad_basis):
         self.algebra = algebra
-        n = algebra.dim
-        pivots = []
-        for v in rad_basis:
-            _add_to_span(pivots, v)
-        self._comp = [k for k in range(n)
-                      if _add_to_span(pivots, algebra.basis_vector(k))]
+        n, r = algebra.dim, len(rad_basis)
+        # reduce [radical basis | I]: the pivots past the radical pick the
+        # complement, and the I block becomes the inverse of the pivot
+        # columns, the change of basis (radical basis, then complement)
+        work = [[v[i] for v in rad_basis] + list(algebra.basis_vector(i))
+                for i in range(n)]
+        self._comp = [p - r for p in row_reduce(work, r + n) if p >= r]
         self.dim = len(self._comp)
-        cols = list(rad_basis) + [algebra.basis_vector(k) for k in self._comp]
-        minv = Matrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)]).inv()
-        self._rows = [minv.row(len(rad_basis) + t) for t in range(self.dim)]
+        self._rows = [tuple(row[r:]) for row in work[r:]]
         # project(b_k) for every basis vector b_k of A: column k of the rows
         self.basis_projections = tuple(tuple(row[k] for row in self._rows)
                                        for k in range(n))
@@ -810,21 +719,22 @@ class _QuotientView:
 
 
 def _block_dim(view: _QuotientView, u) -> int:
-    return _span_rank([view.mult(u, p) for p in view.basis_projections])
+    return len(_pivots([view.mult(u, p) for p in view.basis_projections]))
 
 
 def _minpoly_on_block(view: _QuotientView, u, y):
-    """Minimal polynomial of multiplication by y inside the block u*A."""
-    pivots = []
+    """Minimal polynomial of multiplication by y inside the block u*A.
+
+    The powers u, uy, uy^2, ... grow until the last one depends on the ones
+    before it; its coordinates in them are then the reduced last column.
+    """
     powers = [u]
-    _add_to_span(pivots, u)
     while True:
-        nxt = view.mult(powers[-1], y)
-        if not _add_to_span(pivots, nxt):
-            coords = _solve_coords(powers, nxt)
-            poly = [-c for c in coords] + [Fraction(1)]
-            return _ptrim(tuple(poly))
-        powers.append(nxt)
+        powers.append(view.mult(powers[-1], y))
+        rows = [list(row) for row in zip(*powers)]
+        k = len(powers) - 1
+        if len(row_reduce(rows, k + 1)) <= k:
+            return tuple(-row[k] for row in rows[:k]) + (Fraction(1),)
 
 
 def _split_block(view: _QuotientView, u):
@@ -834,16 +744,16 @@ def _split_block(view: _QuotientView, u):
         poly = _minpoly_on_block(view, u, xbar)
         if len(poly) <= 2:
             continue
-        for lam in _rational_roots(poly):
+        for lam in rational_roots(poly):
             lin = (-lam, Fraction(1))
-            quo, rem = _pdivmod(poly, lin)
-            if _ptrim(rem):
+            quo, rem = pdivmod(poly, lin)
+            if ptrim(rem):
                 continue
-            g, s, t = _pxgcd(lin, quo)
+            g, s, t = pxgcd(lin, quo)
             if len(g) != 1:
                 continue  # repeated factor; cannot separate with this root
             # e = t(y) * quo(y) / g, an idempotent with e = 1 on the lam part
-            e_poly = _pmul(t, quo)
+            e_poly = pmul(t, quo)
             e_poly = tuple(c / g[0] for c in e_poly)
             e = _eval_poly_in_block(view, u, xbar, e_poly)
             if view.mult(e, e) != e:
@@ -921,12 +831,12 @@ def decompose_algebra(algebra: FinDimAlgebra) -> DecompositionReport:
 
     report = DecompositionReport(algebra=algebra, radical_dim=len(rad_basis))
     for e in sorted(lifted):
-        factor_vectors = _independent_subset(
-            [algebra.mult(e, algebra.basis_vector(k)) for k in range(n)])
+        basis_products = [algebra.mult(e, algebra.basis_vector(k)) for k in range(n)]
+        factor_vectors = [basis_products[p] for p in _pivots(basis_products)]
         fdim = len(factor_vectors)
-        ideal_vectors = _independent_subset(
-            [algebra.mult(e, r) for r in rad_basis])
-        mdim = _span_rank(ideal_vectors)
+        ideal_products = [algebra.mult(e, r) for r in rad_basis]
+        ideal_vectors = [ideal_products[p] for p in _pivots(ideal_products)]
+        mdim = len(ideal_vectors)
         if mdim == 0:
             report.factors.append(LocalFactor(
                 idempotent=e, dim=fdim, principal=True, trunc_order=1,
@@ -934,31 +844,27 @@ def decompose_algebra(algebra: FinDimAlgebra) -> DecompositionReport:
             continue
         m2_vectors = [algebra.mult(x, y)
                       for x, y in itertools.product(ideal_vectors, repeat=2)]
-        m2_rank = _span_rank(m2_vectors)
+        pivots = _pivots(m2_vectors + ideal_vectors)
+        m2_rank = sum(p < len(m2_vectors) for p in pivots)
         embedding_dim = mdim - m2_rank
         if embedding_dim > 1:
             report.factors.append(LocalFactor(
                 idempotent=e, dim=fdim, principal=False, basis=tuple(factor_vectors),
                 maximal_ideal_generators=embedding_dim))
             continue
-        # principal: find a generator g of the maximal ideal, then the powers
-        # e, g, g^2, ... form a basis of the factor
-        generator = None
-        for cand in ideal_vectors:
-            pivots = []
-            for v in m2_vectors:
-                _add_to_span(pivots, v)
-            if _add_to_span(pivots, cand):
-                generator = cand
-                break
-        if generator is None:
+        # principal: the first ideal vector outside m^2 (the first pivot past
+        # m^2) generates the maximal ideal, and its powers e, g, g^2, ... form
+        # a basis of the factor
+        outside = [p - len(m2_vectors) for p in pivots if p >= len(m2_vectors)]
+        if not outside:
             raise ArithmeticError("no generator found for a principal ideal")
+        generator = ideal_vectors[outside[0]]
         powers = [e]
         g = generator
         while any(c != 0 for c in g):
             powers.append(g)
             g = algebra.mult(g, generator)
-        if len(powers) != fdim or _span_rank(powers) != fdim:
+        if len(powers) != fdim or len(_pivots(powers)) != fdim:
             raise ArithmeticError("generator powers do not span the factor")
         report.factors.append(LocalFactor(
             idempotent=e, dim=fdim, principal=True, trunc_order=len(powers),

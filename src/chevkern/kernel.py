@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -34,9 +35,9 @@ class UnassignedVariableError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q, ascending coefficient tuples (internal)
+# univariate polynomials over Q, ascending coefficient tuples
 
-def _ptrim(cs):
+def ptrim(cs):
     n = len(cs)
     while n > 0 and cs[n - 1] == 0:
         n -= 1
@@ -45,8 +46,8 @@ def _ptrim(cs):
 
 def _padd(a, b):
     n = max(len(a), len(b))
-    return _ptrim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                   for i in range(n)])
+    return ptrim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                  for i in range(n)])
 
 
 def _pscale(a, c):
@@ -55,7 +56,7 @@ def _pscale(a, c):
     return tuple(x * c for x in a)
 
 
-def _pmul(a, b):
+def pmul(a, b):
     if not a or not b:
         return ()
     out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -64,17 +65,17 @@ def _pmul(a, b):
             continue
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return _ptrim(out)
+    return ptrim(out)
 
 
-def _pdivmod(a, b):
+def pdivmod(a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     r = list(a)
     lead = b[-1]
-    while len(r) >= len(b) and _ptrim(r):
-        r = list(_ptrim(r))
+    while len(r) >= len(b) and ptrim(r):
+        r = list(ptrim(r))
         if len(r) < len(b):
             break
         c = r[-1] / lead
@@ -83,19 +84,19 @@ def _pdivmod(a, b):
         for i, y in enumerate(b):
             r[d + i] -= c * y
         r = r[:-1]
-    return _ptrim(q), _ptrim(r)
+    return ptrim(q), ptrim(r)
 
 
-def _pxgcd(a, b):
+def pxgcd(a, b):
     # returns (g, s, t) with s*a + t*b = g
     r0, r1 = a, b
     s0, s1 = (Fraction(1),), ()
     t0, t1 = (), (Fraction(1),)
     while r1:
-        q, r = _pdivmod(r0, r1)
+        q, r = pdivmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1)))
-        t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1)))
+        s0, s1 = s1, _padd(s0, _pneg(pmul(q, s1)))
+        t0, t1 = t1, _padd(t0, _pneg(pmul(q, t1)))
     return r0, s0, t0
 
 
@@ -103,11 +104,47 @@ def _pneg(a):
     return tuple(-x for x in a)
 
 
-def _peval(a, x):
+def peval(a, x):
     acc = Fraction(0)
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def rational_roots(poly):
+    """All rational roots of a polynomial with Fraction coefficients, sorted.
+
+    A root p/q in lowest terms has p dividing the lowest nonzero and q the
+    leading coefficient of the integer multiple of ``poly``; divisors are
+    found by trial division up to the square root.
+    """
+    poly = ptrim(poly)
+    if len(poly) <= 1:
+        return []
+    denom = lcm(*[c.denominator for c in poly])
+    ints = [int(c * denom) for c in poly]
+    roots = []
+    if ints[0] == 0:
+        roots.append(Fraction(0))
+        while ints[0] == 0:
+            ints = ints[1:]
+    a0, an = abs(ints[0]), abs(ints[-1])
+
+    def divisors(m):
+        out = set()
+        d = 1
+        while d * d <= m:
+            if m % d == 0:
+                out.update((d, m // d))
+            d += 1
+        return sorted(out)
+
+    for p in divisors(a0):
+        for q in divisors(an):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand not in roots and peval(poly, cand) == 0:
+                    roots.append(cand)
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -131,23 +168,12 @@ class NumberField:
         self.name = name
         self.minpoly = coeffs
         self.degree = len(coeffs) - 1
-        if self.degree >= 2:
-            for root in self._integer_root_candidates():
-                if _peval(tuple(Fraction(c) for c in coeffs), root) == 0:
-                    raise ValueError(
-                        "defining polynomial has rational root %s, not irreducible" % root)
         self._minpoly_q = tuple(Fraction(c) for c in coeffs)
-
-    def _integer_root_candidates(self):
-        a0 = self.minpoly[0]
-        if a0 == 0:
-            yield Fraction(0)
-            return
-        n = abs(a0)
-        for d in range(1, n + 1):
-            if n % d == 0:
-                yield Fraction(d)
-                yield Fraction(-d)
+        if self.degree >= 2:
+            roots = rational_roots(self._minpoly_q)
+            if roots:
+                raise ValueError(
+                    "defining polynomial has rational root %s, not irreducible" % roots[0])
 
     def element(self, coords: Iterable) -> "NumberFieldElement":
         cs = tuple(Fraction(c) for c in coords)
@@ -216,21 +242,21 @@ class NumberFieldElement:
 
     def __mul__(self, other):
         self._check(other)
-        prod = _pmul(_ptrim(self.coords), _ptrim(other.coords))
-        _, rem = _pdivmod(prod, self.field._minpoly_q)
+        prod = pmul(ptrim(self.coords), ptrim(other.coords))
+        _, rem = pdivmod(prod, self.field._minpoly_q)
         return self.field.element(
             tuple(rem[i] if i < len(rem) else Fraction(0) for i in range(self.field.degree)))
 
     def inverse(self) -> "NumberFieldElement":
-        a = _ptrim(self.coords)
+        a = ptrim(self.coords)
         if not a:
             raise NotAUnitError("zero has no inverse in %s" % self.field.name)
-        g, s, _ = _pxgcd(a, self.field._minpoly_q)
+        g, s, _ = pxgcd(a, self.field._minpoly_q)
         if len(g) != 1:
             raise NotAUnitError(
                 "gcd with the defining polynomial is not constant; field is not a field")
         inv = _pscale(s, 1 / g[0])
-        _, rem = _pdivmod(inv, self.field._minpoly_q)
+        _, rem = pdivmod(inv, self.field._minpoly_q)
         return self.field.element(
             tuple(rem[i] if i < len(rem) else Fraction(0) for i in range(self.field.degree)))
 
@@ -892,8 +918,16 @@ class Matrix:
         """
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
+        n = self.nrows
         if is_field_element(self.entries[0]):
-            return self._inv_gauss_jordan()
+            # Gauss-Jordan on [M | I] leaves [I | M^-1] when M is invertible
+            one, zero = one_like(self.entries[0]), zero_like(self.entries[0])
+            work = [list(self.row(i)) + [one if i == j else zero for j in range(n)]
+                    for i in range(n)]
+            if len(row_reduce(work, n)) < n:
+                raise SingularMatrixError(
+                    "determinant %s is not a unit" % (zero,), determinant=zero)
+            return Matrix(n, n, tuple(x for row in work for x in row[n:]))
         d = self.det()
         try:
             dinv = ring_inv(d)
@@ -918,32 +952,6 @@ class Matrix:
         # adjugate is the transpose of the cofactor matrix
         return Matrix(n, n, tuple(cof[j * n + i] for i in range(n) for j in range(n)))
 
-    def _inv_gauss_jordan(self) -> "Matrix":
-        n = self.nrows
-        one = one_like(self.entries[0])
-        zero = zero_like(self.entries[0])
-        work = [list(self.row(i)) + [one if i == j else zero for j in range(n)]
-                for i in range(n)]
-        for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if not is_zero(work[r][col]):
-                    pivot = r
-                    break
-            if pivot is None:
-                raise SingularMatrixError(
-                    "determinant %s is not a unit" % (zero,), determinant=zero)
-            work[col], work[pivot] = work[pivot], work[col]
-            pv = ring_inv(work[col][col])
-            work[col] = [x * pv for x in work[col]]
-            for r in range(n):
-                if r == col or is_zero(work[r][col]):
-                    continue
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        return Matrix(n, n, tuple(work[i][col] for i in range(n)
-                                  for col in range(n, 2 * n)))
-
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     return a * b
@@ -951,6 +959,35 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def matinv(m: Matrix) -> Matrix:
     return m.inv()
+
+
+def row_reduce(rows: list, ncols: int) -> list:
+    """Gauss-Jordan elimination in place over an exact field; returns the pivots.
+
+    ``rows`` is a list of rows (lists), reduced to reduced row echelon form
+    in place.  Pivots are sought in the first ``ncols`` columns only; later
+    columns ride along as an augmented block.  Row i of the result has a 1
+    in column ``pivots[i]``, where every other row has a 0, and a column is a
+    pivot exactly when it is independent of the columns before it.
+    """
+    nrows = len(rows)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if not is_zero(rows[i][col])), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = ring_inv(rows[r][col])
+        prow = rows[r] = [x * pv for x in rows[r]]
+        for i in range(nrows):
+            f = rows[i][col]
+            if i != r and not is_zero(f):
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        pivots.append(col)
+    return pivots
 
 
 def rref(m: Matrix):
@@ -961,43 +998,22 @@ def rref(m: Matrix):
     """
     if not is_field_element(m.entries[0]):
         raise DomainMismatchError("row reduction needs entries from an exact field")
-    nrows, ncols = m.nrows, m.ncols
+    ncols = m.ncols
     one = one_like(m.entries[0])
     zero = zero_like(m.entries[0])
-    work = [list(m.row(i)) for i in range(nrows)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if not is_zero(work[i][col]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        pv = ring_inv(work[r][col])
-        work[r] = [x * pv for x in work[r]]
-        for i in range(nrows):
-            if i == r or is_zero(work[i][col]):
-                continue
-            f = work[i][col]
-            work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    rank = len(pivots)
-    free = [c for c in range(ncols) if c not in pivots]
+    work = m.rows()
+    pivots = row_reduce(work, ncols)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [zero] * ncols
         vec[fc] = one
         for i, pc in enumerate(pivots):
             vec[pc] = -work[i][fc]
         basis.append(tuple(vec))
-    reduced = Matrix(nrows, ncols, tuple(x for row in work for x in row))
-    return reduced, rank, basis
+    reduced = Matrix(m.nrows, ncols, tuple(x for row in work for x in row))
+    return reduced, len(pivots), basis
 
 
 # domain descriptors used by the truncated-algebra layer ---------------------

@@ -18,10 +18,9 @@ from .kernel import (
     MultiPoly,
     NotAUnitError,
     PolyDomain,
+    is_zero,
     parse_polynomial,
     poly_eval,
-    scalar_into,
-    zero_like,
 )
 
 
@@ -173,11 +172,11 @@ class TruncElement:
         zero = self.algebra.base.zero()
         out = [zero] * d
         for i, a in enumerate(self.coeffs):
-            if _base_is_zero(a):
+            if is_zero(a):
                 continue
             for j in range(d - i):
                 b = other.coeffs[j]
-                if _base_is_zero(b):
+                if is_zero(b):
                     continue
                 out[i + j] = out[i + j] + a * b
         return TruncElement(self.algebra, tuple(out))
@@ -213,12 +212,12 @@ class TruncElement:
         return TruncElement(self.algebra, (zero,) + self.coeffs[1:])
 
     def is_zero(self) -> bool:
-        return all(_base_is_zero(c) for c in self.coeffs)
+        return all(is_zero(c) for c in self.coeffs)
 
     def is_unit(self) -> bool:
         x0 = self.coeffs[0]
         if self.algebra.base.is_field():
-            return not _base_is_zero(x0)
+            return not is_zero(x0)
         try:
             self.algebra.base.inv(x0)
             return True
@@ -281,13 +280,6 @@ class TruncElement:
 
     def _scalar_into(self, c):
         return self.algebra.from_scalar(c)
-
-
-def _base_is_zero(c) -> bool:
-    if isinstance(c, Fraction):
-        return c == 0
-    probe = getattr(c, "is_zero", None)
-    return probe() if probe is not None else c == 0
 
 
 def trunc_add(x: TruncElement, y: TruncElement) -> TruncElement:
@@ -427,7 +419,9 @@ class RingHom:
 
     Optional relations (polynomials in the generators, e.g. defining
     polynomials of ring generators) are checked to map to zero at
-    construction, so the map really factors through the quotient.
+    construction, so the map really factors through the quotient.  Values
+    are computed by ``kernel.poly_eval`` in the one domain of the images;
+    ``sample`` is an element of R, kept as ``self.sample``.
     """
 
     def __init__(self, generators: Sequence[str], images: dict, sample,
@@ -443,40 +437,16 @@ class RingHom:
             for r in relations)
         for r in self.relations:
             img = self.apply(r)
-            if not _ring_is_zero(img):
+            if not is_zero(img):
                 raise RelationNotPreservedError(
                     "relation %s maps to %s, not zero" % (r, img))
 
     def apply(self, p):
         if isinstance(p, str):
             p = parse_polynomial(p, variables=self.generators)
-        point = dict(self.images)
-        # bind every generator; unused ones are harmless
-        value = _eval_poly_at(p, point, self.sample)
-        return value
-
-
-def _ring_is_zero(x) -> bool:
-    probe = getattr(x, "is_zero", None)
-    if probe is not None:
-        return probe()
-    return x == 0
-
-
-def _eval_poly_at(p: MultiPoly, point: dict, sample):
-    missing = [v for i, v in enumerate(p.variables)
-               if v not in point and any(e[i] for e in p.terms)]
-    if missing:
-        raise ValueError("no image for %r" % missing[0])
-    acc = None
-    for e, c in p.terms.items():
-        term = scalar_into(c, sample)
-        for v, k in zip(p.variables, e):
-            if k == 0:
-                continue
-            term = term * (point[v] ** k)
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else zero_like(sample)
+        # adding the zero polynomial in the generators binds every image, so
+        # even a constant lands in the target ring
+        return poly_eval(p + MultiPoly(self.generators, {}), self.images)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +496,7 @@ def unit_group_witness(x: TruncElement, target: TruncElement) -> UnitWitness:
     if not x.is_unit():
         raise NotAUnitError("base point %s is not a unit" % x)
     x1 = x.coeffs[1]
-    if _base_is_zero(x1):
+    if is_zero(x1):
         raise ValueError("tail of %s has zero linear coefficient" % x)
     one = algebra.base.one()
     if target.coeffs[0] != one:

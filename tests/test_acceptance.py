@@ -24,7 +24,7 @@ from chevkern.chevalley import (
     verify_additivity,
     verify_commutator,
 )
-from chevkern.cli import main as cli_main
+from chevkern.cli import _nonzero_rat, _rat, _trunc_elem, main as cli_main
 from chevkern.derivations import (
     BaseRing,
     PresentedAlgebra,
@@ -60,25 +60,6 @@ def _verdict(num: int, ok: bool, elapsed: float, budget: float, detail: str):
     assert ok, "criterion %d failed: %s" % (num, detail)
     assert elapsed < budget, ("criterion %d exceeded its %gs budget (%.2fs)"
                               % (num, budget, elapsed))
-
-
-def _rat(rng, lo=-9, hi=9) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, 9))
-
-
-def _nonzero_rat(rng) -> Fraction:
-    q = _rat(rng)
-    while q == 0:
-        q = _rat(rng)
-    return q
-
-
-def _trunc_elem(algebra, rng, unit=False):
-    coeffs = [_rat(rng) for _ in range(algebra.d)]
-    if unit:
-        while coeffs[0] == 0:
-            coeffs[0] = _rat(rng)
-    return algebra.element(coeffs)
 
 
 def test_criterion_01_chevalley_relations():

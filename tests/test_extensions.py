@@ -15,6 +15,7 @@ from chevkern.extensions import (
     HeisenbergLikeGroup,
     IdempotentLiftingError,
     TracelessMatrices,
+    _minpoly_on_block,
     _QuotientView,
     ad_matrix,
     commutator_lift_invariance,
@@ -25,7 +26,7 @@ from chevkern.extensions import (
     reassemble,
     splitness_verdict,
 )
-from chevkern.kernel import Matrix, rref
+from chevkern.kernel import Matrix, pdivmod, rref
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -385,6 +386,20 @@ def test_univariate_quotient_table():
     assert alg3.mult(alg3.basis_vector(1), alg3.basis_vector(2)) == alg3.zero()
 
 
+@pytest.mark.parametrize("coeffs", [
+    [3, 1], [0, 0, 1], [0, -1, 1], [-2, 0, 1], [1, -3, 0, 2, 1],
+    [Fraction(1, 2), 0, -7, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1],
+])
+def test_univariate_quotient_table_matches_per_entry_reduction(coeffs):
+    alg = FinDimAlgebra.from_univariate_quotient(coeffs)
+    f = tuple(Fraction(c) for c in coeffs)
+    n = len(f) - 1
+    for i in range(n):
+        for j in range(n):
+            _, rem = pdivmod((Fraction(0),) * (i + j) + (Fraction(1),), f)
+            assert alg.tensor[i][j] == rem + (Fraction(0),) * (n - len(rem))
+
+
 def test_decompose_split_quadratic():
     alg = FinDimAlgebra.from_univariate_quotient([0, -1, 1])  # X^2 = X
     report = decompose_algebra(alg)
@@ -568,6 +583,38 @@ def test_quotient_view_section_and_radical(name):
     # the cached projections of the basis vectors of the algebra
     assert view.basis_projections == tuple(view.project(alg.basis_vector(k))
                                            for k in range(alg.dim))
+
+
+def _independent(vectors) -> bool:
+    sympy = pytest.importorskip("sympy")
+    if not vectors:
+        return True
+    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v]
+                      for v in vectors])
+    return m.rank() == len(vectors)
+
+
+@pytest.mark.parametrize("name", ["split_2_3", "split_1_3_2", "split_2_3_reversed"])
+def test_minpoly_on_block_is_the_minimal_annihilator(name):
+    alg = TRACE_FORM_ALGEBRAS[name]()
+    _, _, rad_basis = rref(alg.trace_form())
+    view = _QuotientView(alg, list(rad_basis))
+    u = view.unit()
+    zero = (Fraction(0),) * view.dim
+    for p in view.basis_projections:
+        y = view.mult(u, p)
+        poly = _minpoly_on_block(view, u, y)
+        assert poly[-1] == 1
+        powers = [u]
+        for _ in range(len(poly) - 1):
+            powers.append(view.mult(powers[-1], y))
+        # poly(y) u = 0, and no lower degree annihilates: u, ..., u y^(deg-1)
+        # are independent
+        total = zero
+        for c, v in zip(poly, powers):
+            total = view.scale_add(c, v, total)
+        assert total == zero
+        assert _independent(powers[:-1])
 
 
 def test_decompose_irrational_residue_field():

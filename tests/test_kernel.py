@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -11,10 +12,13 @@ from chevkern.kernel import (
     NumberField,
     SingularMatrixError,
     UnassignedVariableError,
+    is_zero,
     matinv,
     matmul,
     parse_polynomial,
     poly_eval,
+    rational_roots,
+    row_reduce,
     rref,
 )
 
@@ -185,6 +189,24 @@ def test_number_field_rejects_rational_root():
         NumberField("u", (0, 0, 1))    # x^2 has root 0
 
 
+def test_number_field_rational_root_screen_is_fast():
+    # the root search divides the constant term up to its square root only
+    start = time.perf_counter()
+    NumberField("w", (-100000007, 0, 1))
+    assert time.perf_counter() - start < 0.1
+    for minpoly in ((-4, 0, 1), (0, 0, 1)):
+        with pytest.raises(ValueError):
+            NumberField("u", minpoly)
+
+
+def test_rational_roots_hand_values():
+    # 2 X^3 + 5 X^2 - 3 X = X (2X - 1)(X + 3)
+    assert rational_roots((Q(0), Q(-3), Q(5), Q(2))) == [Q(-3), Q(0), Q(1, 2)]
+    assert rational_roots((Q(-2), Q(0), Q(1))) == []
+    assert rational_roots((Q(1, 3), Q(1, 2))) == [Q(-2, 3)]
+    assert rational_roots((Q(7),)) == []
+
+
 def test_number_field_cross_field_mix_fails():
     K = NumberField("w", (-2, 0, 1))
     L = NumberField("v", (-3, 0, 1))
@@ -300,3 +322,100 @@ def test_parse_polynomial_rejects_bad_syntax():
 def test_parse_polynomial_rationals():
     p = parse_polynomial("X/2 + 1/3")
     assert poly_eval(p, {"X": Q(1)}) == Q(5, 6)
+
+
+# --- row_reduce and its callers against sympy ------------------------------
+
+def _sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(rows):
+    sympy = _sympy()
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in rows])
+
+
+def _seeded_columns(rng, nrows, ncols):
+    """Random columns over Q with zero, repeated and dependent ones mixed in."""
+    cols = []
+    for _ in range(ncols):
+        kind = rng.randrange(5)
+        if kind == 0 or not cols:
+            col = [Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nrows)]
+        elif kind == 1:
+            col = [Q(0)] * nrows
+        elif kind == 2:
+            col = list(rng.choice(cols))
+        elif kind == 3:
+            a, b = rng.choice(cols), rng.choice(cols)
+            c = Q(rng.randint(-3, 3), rng.randint(1, 2))
+            col = [x + c * y for x, y in zip(a, b)]
+        else:
+            col = [Q(rng.randint(-1, 1)) for _ in range(nrows)]
+        cols.append(col)
+    return [[col[i] for col in cols] for i in range(nrows)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_row_reduce_matches_sympy_rref(seed):
+    rng = random.Random(seed)
+    rows = _seeded_columns(rng, rng.randint(1, 6), rng.randint(1, 7))
+    expected, expected_pivots = _to_sympy(rows).rref()
+    work = [list(r) for r in rows]
+    pivots = row_reduce(work, len(rows[0]))
+    assert pivots == list(expected_pivots)
+    assert _to_sympy(work) == expected
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_row_reduce_pivots_only_in_the_leading_block(seed):
+    rng = random.Random(100 + seed)
+    rows = _seeded_columns(rng, rng.randint(1, 6), rng.randint(2, 7))
+    k = rng.randint(1, len(rows[0]) - 1)
+    _, expected_pivots = _to_sympy([r[:k] for r in rows]).rref()
+    work = [list(r) for r in rows]
+    assert row_reduce(work, k) == list(expected_pivots)
+    # the augmented block rides along: [A | B] becomes P [A | B] for an
+    # invertible P, with P A the reduced form of A
+    assert _to_sympy([r[:k] for r in work]) == _to_sympy([r[:k] for r in rows]).rref()[0]
+    rank = _to_sympy(rows).rank()
+    assert _to_sympy(work).rank() == rank == _to_sympy(work + rows).rank()
+
+
+def _random_invertible(rng, n, entry):
+    while True:
+        m = Matrix.from_rows([[entry() for _ in range(n)] for _ in range(n)])
+        if not is_zero(m.det()):
+            return m
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_field_inverse_over_q_and_number_field(seed):
+    rng = random.Random(200 + seed)
+    n = rng.randint(1, 4)
+    m = _random_invertible(rng, n, lambda: Q(rng.randint(-5, 5), rng.randint(1, 3)))
+    assert (m * m.inv()).is_identity()
+    assert _to_sympy(m.inv().rows()) == _to_sympy(m.rows()).inv()
+    K = NumberField("w", (-2, 0, 1))
+    mk = _random_invertible(rng, n, lambda: K.element((rng.randint(-3, 3),
+                                                       rng.randint(-3, 3))))
+    assert (mk * mk.inv()).is_identity()
+    assert (mk.inv() * mk).is_identity()
+
+
+def test_field_inverse_singular_raises():
+    K = NumberField("w", (-2, 0, 1))
+    w = K.generator()
+    singular = [
+        Matrix.from_rows([[1, 2, 3], [4, 5, 6], [5, 7, 9]]),
+        Matrix.from_rows([[0, 0], [0, 0]]),
+        # the last row is the first plus w times the second
+        Matrix.from_rows([[K.one(), w, K.zero()],
+                          [w, K.one(), K.from_rational(3)],
+                          [K.one() + w * w, w + w, w * K.from_rational(3)]]),
+    ]
+    for m in singular:
+        assert is_zero(m.det())
+        with pytest.raises(SingularMatrixError):
+            m.inv()

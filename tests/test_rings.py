@@ -20,6 +20,7 @@ from chevkern.rings import (
     RingHom,
     SumAlgebra,
     TruncAlgebra,
+    TruncElement,
     expand_unit_product,
     factor_one_minus_ux,
     trunc_add,
@@ -164,6 +165,25 @@ def test_ring_hom_into_trunc():
     h = RingHom(["X"], {"X": A.eps()}, sample=A.one())
     assert h.apply("1 + X + X^2") == A.element([1, 1, 1])
     assert h.apply("X^3").is_zero()
+
+
+def test_ring_hom_constants_land_in_the_target():
+    A = TruncAlgebra(3)
+    h = RingHom(["X"], {"X": A.eps()}, sample=A.one())
+    for text, value in (("3", A.element([3])), ("0", A.zero())):
+        image = h.apply(text)
+        assert isinstance(image, TruncElement) and image == value
+
+
+def test_ring_hom_missing_image_raises():
+    A = TruncAlgebra(3)
+    with pytest.raises(ValueError):
+        RingHom(["X", "Y"], {"X": A.eps()}, sample=A.one())
+    h = RingHom(["X"], {"X": A.eps()}, sample=A.one())
+    with pytest.raises(ValueError):
+        h.apply(MultiPoly.variable("Y") + MultiPoly.variable("X"))
+    with pytest.raises(ValueError):
+        h.apply("X + Y")
 
 
 def test_ring_hom_relation_check():
