@@ -32,6 +32,7 @@ from .kernel import (
     is_zero,
     one_like,
     ring_inv,
+    ring_of,
     scalar_into,
     zero_like,
 )
@@ -175,11 +176,8 @@ class ChevalleyModel:
 
 
 def _embed_like(m: Matrix, sample_matrix: Matrix):
-    sample = sample_matrix.entries[0]
-    if isinstance(sample, Fraction):
-        return m
-    return Matrix(m.nrows, m.ncols,
-                  tuple(scalar_into(x, sample) for x in m.entries))
+    ring = ring_of(sample_matrix.entries[0])
+    return Matrix(m.nrows, m.ncols, tuple(ring.coerce(x) for x in m.entries))
 
 
 def build_model(kind: str) -> ChevalleyModel:
@@ -225,10 +223,6 @@ class GroupElement:
             alpha, t = self.root
             return self.model.e(alpha, -t)
         return GroupElement(self.model, self.matrix.inv())
-
-    def conjugate(self, other: "GroupElement") -> "GroupElement":
-        """self * other * self^{-1}."""
-        return self * other * self.inverse()
 
     def commutator(self, other: "GroupElement") -> "GroupElement":
         """[self, other] = self other self^{-1} other^{-1}."""

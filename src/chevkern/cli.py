@@ -55,7 +55,7 @@ from .extensions import (
     reassemble,
     splitness_verdict,
 )
-from .kernel import Matrix, MultiPoly, NotAUnitError
+from .kernel import Matrix, MultiPoly, NotAUnitError, is_zero
 from .rings import TruncAlgebra, factor_one_minus_ux, unit_group_witness
 from .rootsys import UnsupportedRootSystemError
 from .steinberg import (
@@ -230,6 +230,15 @@ def run_symbols(report: Report, cfg, rng):
                    failures=[str(f) for f in rec.failures[:3]])
 
 
+def _inverse_refused(x) -> bool:
+    """True when inverting ``x`` raises NotAUnitError."""
+    try:
+        x.inverse()
+    except NotAUnitError:
+        return True
+    return False
+
+
 def run_units(report: Report, cfg, rng):
     algebra = TruncAlgebra(cfg.trunc)
     d = cfg.trunc
@@ -238,14 +247,9 @@ def run_units(report: Report, cfg, rng):
     for _ in range(cfg.samples):
         x = _trunc_elem(algebra, rng)
         is_unit = x.is_unit()
-        if is_unit:
-            good = (x * x.inverse()) == algebra.one()
-        else:
-            try:
-                x.inverse()
-                good = False
-            except NotAUnitError:
-                good = True
+        good = (x * x.inverse()) == algebra.one() if is_unit else _inverse_refused(x)
+        # the tail has constant coefficient 0, so every sample also checks a non-unit
+        good = good and _inverse_refused(x.tail())
         ok = ok and good and (is_unit == (x.coeff(0) != 0))
         checked += 1
     report.add("unit criterion and inverses mod e^%d" % d, ok, checked=checked)
@@ -403,9 +407,7 @@ def run_derivations(report: Report, cfg, rng):
         ok = len(rep.tangent_basis) == rep.dim
         for tangent in rep.tangent_basis:
             for f in algebra.relations:
-                val = apply_derivation(algebra, point, tangent, f)
-                nonzero = val != 0 if isinstance(val, Fraction) else not val.is_zero()
-                ok = ok and not nonzero
+                ok = ok and is_zero(apply_derivation(algebra, point, tangent, f))
         dims.append(rep.dim)
         pname = " ".join("%s=%s" % (k, point[k]) for k in sorted(point))
         report.add("derivations at %s" % (pname or "the base point"), ok,

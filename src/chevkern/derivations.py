@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .kernel import (
@@ -24,8 +23,10 @@ from .kernel import (
     MultiPoly,
     NumberField,
     NumberFieldElement,
+    is_zero,
     parse_polynomial,
     poly_eval,
+    ring_inv,
     rref,
 )
 
@@ -113,8 +114,7 @@ class PresentedAlgebra:
         full = self.full_assignment(point)
         for f in self.relations:
             val = poly_eval(f, full)
-            nonzero = val != 0 if isinstance(val, Fraction) else not val.is_zero()
-            if nonzero:
+            if not is_zero(val):
                 raise PointNotOnVarietyError(
                     "relation %s does not vanish at %r (value %s)" % (f, point, val))
         return full
@@ -179,10 +179,7 @@ def apply_derivation(algebra: PresentedAlgebra, point: dict,
     for x, t in zip(columns, tangent):
         val = poly_eval(poly.derivative(x), full)
         if algebra.field is not None:
-            if isinstance(val, Fraction):
-                val = algebra.field.from_rational(val)
-            if isinstance(t, (int, Fraction)):
-                t = algebra.field.from_rational(Fraction(t))
+            val, t = algebra.field.coerce(val), algebra.field.coerce(t)
         term = val * t
         total = term if total is None else total + term
     return total
@@ -254,12 +251,10 @@ def extend_point(algebra: PresentedAlgebra, h: MultiPoly, point: dict,
     """The unique lift of a point to the localization at h."""
     full = algebra.full_assignment(point)
     val = poly_eval(h, full)
-    is_zero = val == 0 if isinstance(val, Fraction) else val.is_zero()
-    if is_zero:
+    if is_zero(val):
         raise ValueError("the point kills %s; it has no lift" % h)
-    inv = 1 / val if isinstance(val, Fraction) else val.inverse()
     out = dict(point)
-    out[newvar] = inv
+    out[newvar] = ring_inv(val)
     return out
 
 
@@ -359,5 +354,3 @@ def _univariate_int_coeffs(p: MultiPoly, name: str) -> tuple:
     return tuple(coeffs)
 
 
-def load_problem(path):
-    return parse_problem(Path(path).read_text())

@@ -3,7 +3,8 @@
 Every domain here is exact.  Elements of different domains never mix
 implicitly; converting a rational into a bigger ring is always an explicit
 call (``field.from_rational``, ``poly_eval``, ...).  Matrices require all
-entries to live in one domain and complain loudly otherwise.
+entries to live in one domain and complain loudly otherwise.  Any element
+reaches the descriptor of its ring in one step through ``ring_of``.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ class NumberField:
     The defining polynomial is given by its integer coefficients in ascending
     order, e.g. ``(-2, 0, 1)`` for w^2 - 2.  For degree <= 3 the no-rational-root
     screen is a complete irreducibility proof; beyond that irreducibility is the
-    caller's contract.
+    caller's contract.  The field is its own ring descriptor (see ``ring_of``).
     """
 
     def __init__(self, name: str, minpoly: Sequence[int]):
@@ -190,6 +191,22 @@ class NumberField:
     def one(self) -> "NumberFieldElement":
         return self.from_rational(1)
 
+    def coerce(self, x) -> "NumberFieldElement":
+        if isinstance(x, (int, Fraction)):
+            return self.from_rational(x)
+        if isinstance(x, NumberFieldElement) and x.field == self:
+            return x
+        raise DomainMismatchError("cannot coerce %s into Q(%s)" % (type(x).__name__, self.name))
+
+    def inv(self, x) -> "NumberFieldElement":
+        return self.coerce(x).inverse()
+
+    def is_field(self):
+        return True
+
+    def key(self):
+        return ("NF", self.name, self.minpoly)
+
     def generator(self) -> "NumberFieldElement":
         cs = [Fraction(0)] * self.degree
         cs[1 if self.degree > 1 else 0] = Fraction(1)
@@ -217,6 +234,10 @@ class NumberFieldElement:
     def __init__(self, field: NumberField, coords: tuple):
         self.field = field
         self.coords = coords
+
+    @property
+    def ring(self) -> NumberField:
+        return self.field
 
     def _check(self, other):
         if not isinstance(other, NumberFieldElement):
@@ -349,6 +370,14 @@ class MultiPoly:
             e[i] = 1
             gens.append(MultiPoly(vs, {tuple(e): Fraction(1)}))
         return gens
+
+    @property
+    def ring(self) -> "PolyDomain":
+        """Q[variables], one descriptor per variable tuple."""
+        ring = _POLY_RINGS.get(self.variables)
+        if ring is None:
+            ring = _POLY_RINGS[self.variables] = PolyDomain(*self.variables)
+        return ring
 
     # -- alignment -----------------------------------------------------------
 
@@ -524,29 +553,26 @@ def poly_eval(p: MultiPoly, point: dict):
     if missing:
         raise UnassignedVariableError("no value assigned to variable %r" % missing[0])
     values = [point.get(v) for v in p.variables]
-    sample = None
+    ring = None
     for v in values:
         if v is None:
             continue
-        v = Fraction(v) if isinstance(v, int) else v
-        if sample is None:
-            sample = v
-        elif domain_key(v) != domain_key(sample):
+        if ring is None:
+            ring = ring_of(v)
+        elif ring_of(v) != ring:
             raise DomainMismatchError("point values live in different domains")
-    if sample is None:
-        sample = Fraction(0)
+    if ring is None:
+        ring = QQ
     acc = None
     for e, c in p.terms.items():
-        term = scalar_into(c, sample)
+        term = ring.coerce(c)
         for v, k in zip(values, e):
             if k == 0:
                 continue
             v = Fraction(v) if isinstance(v, int) else v
             term = term * (v ** k)
         acc = term if acc is None else acc + term
-    if acc is None:
-        return zero_like(sample)
-    return acc
+    return ring.zero() if acc is None else acc
 
 
 # ---------------------------------------------------------------------------
@@ -608,103 +634,54 @@ def parse_polynomial(text: str, variables=None) -> MultiPoly:
 # ---------------------------------------------------------------------------
 # generic ring-element helpers
 
+def ring_of(x):
+    """The ring descriptor of an element: QQ for a rational, ``x.ring`` otherwise.
+
+    A descriptor has ``zero()``, ``one()``, ``coerce(c)`` for a rational c,
+    ``inv(x)``, ``is_field()`` and ``key()``.  QQ, PolyDomain, NumberField,
+    TruncAlgebra and SumAlgebra implement it.
+    """
+    if isinstance(x, (Fraction, int)):
+        return QQ
+    try:
+        return x.ring
+    except AttributeError:
+        raise DomainMismatchError("unsupported element type %s" % type(x).__name__) from None
+
+
 def domain_key(x):
     """A comparable tag identifying the exact domain an element lives in."""
-    if isinstance(x, Fraction):
-        return ("Q",)
-    if isinstance(x, NumberFieldElement):
-        return ("NF", x.field.name, x.field.minpoly)
-    if isinstance(x, MultiPoly):
-        return ("QPoly",)
-    key = getattr(x, "_domain_key", None)
-    if key is not None:
-        return key()
-    raise DomainMismatchError("unsupported element type %s" % type(x).__name__)
-
-
-def is_field_element(x) -> bool:
-    return isinstance(x, (Fraction, NumberFieldElement))
+    return ring_of(x).key()
 
 
 def zero_like(x):
-    if isinstance(x, Fraction):
-        return Fraction(0)
-    if isinstance(x, NumberFieldElement):
-        return x.field.zero()
-    if isinstance(x, MultiPoly):
-        return MultiPoly(x.variables, {})
-    maker = getattr(x, "_zero_like", None)
-    if maker is not None:
-        return maker()
-    raise DomainMismatchError("unsupported element type %s" % type(x).__name__)
+    return ring_of(x).zero()
 
 
 def one_like(x):
-    if isinstance(x, Fraction):
-        return Fraction(1)
-    if isinstance(x, NumberFieldElement):
-        return x.field.one()
-    if isinstance(x, MultiPoly):
-        return MultiPoly.constant(1, x.variables)
-    maker = getattr(x, "_one_like", None)
-    if maker is not None:
-        return maker()
-    raise DomainMismatchError("unsupported element type %s" % type(x).__name__)
+    return ring_of(x).one()
 
 
 def scalar_into(c, sample):
     """Carry a rational scalar into the domain of ``sample`` (explicit map)."""
-    c = Fraction(c)
-    if isinstance(sample, Fraction):
-        return c
-    if isinstance(sample, NumberFieldElement):
-        return sample.field.from_rational(c)
-    if isinstance(sample, MultiPoly):
-        return MultiPoly.constant(c, sample.variables)
-    maker = getattr(sample, "_scalar_into", None)
-    if maker is not None:
-        return maker(c)
-    raise DomainMismatchError("unsupported element type %s" % type(sample).__name__)
+    return ring_of(sample).coerce(c)
 
 
 def is_zero(x) -> bool:
-    if isinstance(x, Fraction):
-        return x == 0
-    if isinstance(x, (NumberFieldElement, MultiPoly)):
-        return x.is_zero()
-    probe = getattr(x, "is_zero", None)
-    if probe is not None:
-        return probe()
-    raise DomainMismatchError("unsupported element type %s" % type(x).__name__)
+    return x == 0 if isinstance(x, Fraction) else x.is_zero()
 
 
 def ring_inv(x):
     """Multiplicative inverse in the element's own domain, or NotAUnitError."""
-    if isinstance(x, Fraction):
-        if x == 0:
-            raise NotAUnitError("zero is not a unit")
-        return 1 / x
-    if isinstance(x, NumberFieldElement):
-        return x.inverse()
-    if isinstance(x, MultiPoly):
-        if x.is_constant() and x.constant_value() != 0:
-            return MultiPoly.constant(1 / x.constant_value(), x.variables)
-        raise NotAUnitError("polynomial %s is not a unit" % x)
-    probe = getattr(x, "inverse", None)
-    if probe is not None:
-        return probe()
-    raise DomainMismatchError("unsupported element type %s" % type(x).__name__)
+    return ring_of(x).inv(x)
 
 
 def as_ring_element(x):
     """Normalize plain integers to Fraction; pass ring elements through."""
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, (Fraction, NumberFieldElement, MultiPoly)):
-        return x
-    if domain_key(x):
-        return x
-    raise DomainMismatchError("unsupported element type %s" % type(x).__name__)
+    ring_of(x)  # rejects anything that is not a ring element
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +896,7 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        if is_field_element(self.entries[0]):
+        if ring_of(self.entries[0]).is_field():
             # Gauss-Jordan on [M | I] leaves [I | M^-1] when M is invertible
             one, zero = one_like(self.entries[0]), zero_like(self.entries[0])
             work = [list(self.row(i)) + [one if i == j else zero for j in range(n)]
@@ -951,14 +928,6 @@ class Matrix:
                 cof.append(d if (i + j) % 2 == 0 else -d)
         # adjugate is the transpose of the cofactor matrix
         return Matrix(n, n, tuple(cof[j * n + i] for i in range(n) for j in range(n)))
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    return a * b
-
-
-def matinv(m: Matrix) -> Matrix:
-    return m.inv()
 
 
 def row_reduce(rows: list, ncols: int) -> list:
@@ -996,7 +965,7 @@ def rref(m: Matrix):
     Returns ``(reduced, rank, nullspace_basis)`` where the nullspace basis is
     a list of coordinate tuples spanning the right kernel.
     """
-    if not is_field_element(m.entries[0]):
+    if not ring_of(m.entries[0]).is_field():
         raise DomainMismatchError("row reduction needs entries from an exact field")
     ncols = m.ncols
     one = one_like(m.entries[0])
@@ -1016,7 +985,8 @@ def rref(m: Matrix):
     return reduced, len(pivots), basis
 
 
-# domain descriptors used by the truncated-algebra layer ---------------------
+# ring descriptors ---------------------------------------------------------
+# NumberField above and TruncAlgebra, SumAlgebra in ``rings`` are the others.
 
 class RationalDomain:
     """Descriptor for the base field Q."""
@@ -1037,7 +1007,7 @@ class RationalDomain:
     def inv(self, x):
         if x == 0:
             raise NotAUnitError("zero is not a unit")
-        return 1 / x
+        return _ONE / x
 
     def is_field(self):
         return True
@@ -1056,10 +1026,11 @@ class RationalDomain:
 
 
 QQ = RationalDomain()
+_ONE = Fraction(1)
 
 
 class PolyDomain:
-    """Descriptor for Q[x1, x2, ...] as a coefficient domain."""
+    """Descriptor for Q[x1, x2, ...]; any two compare equal, whatever their variables."""
 
     def __init__(self, *variables: str):
         self.variables = tuple(variables)
@@ -1079,7 +1050,10 @@ class PolyDomain:
         raise DomainMismatchError("cannot coerce %s into %s" % (type(x).__name__, self.name))
 
     def inv(self, x):
-        return ring_inv(self.coerce(x))
+        x = self.coerce(x)
+        if x.is_constant() and not x.is_zero():
+            return MultiPoly.constant(1 / x.constant_value(), x.variables)
+        raise NotAUnitError("polynomial %s is not a unit" % x)
 
     def is_field(self):
         return False
@@ -1097,40 +1071,4 @@ class PolyDomain:
         return self.name
 
 
-class NumberFieldDomain:
-    """Descriptor wrapping a NumberField as a coefficient domain."""
-
-    def __init__(self, field: NumberField):
-        self.field = field
-        self.name = "Q(%s)" % field.name
-
-    def zero(self):
-        return self.field.zero()
-
-    def one(self):
-        return self.field.one()
-
-    def coerce(self, x):
-        if isinstance(x, (int, Fraction)):
-            return self.field.from_rational(x)
-        if isinstance(x, NumberFieldElement) and x.field == self.field:
-            return x
-        raise DomainMismatchError("cannot coerce %s into %s" % (type(x).__name__, self.name))
-
-    def inv(self, x):
-        return self.coerce(x).inverse()
-
-    def is_field(self):
-        return True
-
-    def key(self):
-        return ("NF", self.field.name, self.field.minpoly)
-
-    def __eq__(self, other):
-        return isinstance(other, NumberFieldDomain) and self.field == other.field
-
-    def __hash__(self):
-        return hash(("NumberFieldDomain", self.field))
-
-    def __repr__(self):
-        return self.name
+_POLY_RINGS = {}  # variable tuple -> PolyDomain, for MultiPoly.ring

@@ -40,14 +40,23 @@ class TruncAlgebra:
         cs += [self.base.zero()] * (self.d - len(cs))
         return TruncElement(self, tuple(cs))
 
-    def from_scalar(self, c) -> "TruncElement":
+    def coerce(self, c) -> "TruncElement":
         return self.element([c])
 
     def zero(self) -> "TruncElement":
         return self.element([])
 
     def one(self) -> "TruncElement":
-        return self.from_scalar(1)
+        return self.coerce(1)
+
+    def inv(self, x: "TruncElement") -> "TruncElement":
+        return x.inverse()
+
+    def is_field(self):
+        return False
+
+    def key(self):
+        return ("Trunc", self.d, self.base.key())
 
     def eps(self, power: int = 1) -> "TruncElement":
         """The nilpotent generator e^power (zero once power reaches d)."""
@@ -130,6 +139,10 @@ class TruncElement:
         self.algebra = algebra
         self.coeffs = coeffs
 
+    @property
+    def ring(self) -> TruncAlgebra:
+        return self.algebra
+
     def _check(self, other):
         if not isinstance(other, TruncElement):
             raise DomainMismatchError(
@@ -140,7 +153,7 @@ class TruncElement:
 
     def _lift(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.algebra.from_scalar(other)
+            return self.algebra.coerce(other)
         if isinstance(other, MultiPoly) and isinstance(self.algebra.base, PolyDomain):
             return self.algebra.element([other])
         return other
@@ -202,9 +215,6 @@ class TruncElement:
 
     def coeff(self, k: int):
         return self.coeffs[k]
-
-    def constant_part(self):
-        return self.coeffs[0]
 
     def tail(self) -> "TruncElement":
         """The nilpotent part x - x0."""
@@ -268,31 +278,6 @@ class TruncElement:
 
     __repr__ = __str__
 
-    # hooks for the generic helpers in kernel
-    def _domain_key(self):
-        return ("Trunc", self.algebra.d, self.algebra.base.key())
-
-    def _zero_like(self):
-        return self.algebra.zero()
-
-    def _one_like(self):
-        return self.algebra.one()
-
-    def _scalar_into(self, c):
-        return self.algebra.from_scalar(c)
-
-
-def trunc_add(x: TruncElement, y: TruncElement) -> TruncElement:
-    return x + y
-
-
-def trunc_mul(x: TruncElement, y: TruncElement) -> TruncElement:
-    return x * y
-
-
-def trunc_inv(x: TruncElement) -> TruncElement:
-    return x.inverse()
-
 
 # ---------------------------------------------------------------------------
 # direct sums
@@ -314,14 +299,23 @@ class SumAlgebra:
                 raise DomainMismatchError("component does not match factor %s" % (f,))
         return SumElement(self, comps)
 
-    def from_scalar(self, c) -> "SumElement":
-        return SumElement(self, tuple(f.from_scalar(c) for f in self.factors))
+    def coerce(self, c) -> "SumElement":
+        return SumElement(self, tuple(f.coerce(c) for f in self.factors))
 
     def zero(self) -> "SumElement":
-        return self.from_scalar(0)
+        return self.coerce(0)
 
     def one(self) -> "SumElement":
-        return self.from_scalar(1)
+        return self.coerce(1)
+
+    def inv(self, x: "SumElement") -> "SumElement":
+        return x.inverse()
+
+    def is_field(self):
+        return False
+
+    def key(self):
+        return ("Sum", tuple(f.key() for f in self.factors))
 
     def __eq__(self, other):
         return isinstance(other, SumAlgebra) and self.factors == other.factors
@@ -340,9 +334,13 @@ class SumElement:
         self.algebra = algebra
         self.components = components
 
+    @property
+    def ring(self) -> SumAlgebra:
+        return self.algebra
+
     def _check(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.algebra.from_scalar(other)
+            return self.algebra.coerce(other)
         if not isinstance(other, SumElement) or other.algebra != self.algebra:
             raise DomainMismatchError("direct-sum elements from different algebras")
         return other
@@ -394,18 +392,6 @@ class SumElement:
     def __repr__(self):
         return "(" + " | ".join(str(c) for c in self.components) + ")"
 
-    def _domain_key(self):
-        return ("Sum", tuple(("Trunc", f.d, f.base.key()) for f in self.algebra.factors))
-
-    def _zero_like(self):
-        return self.algebra.zero()
-
-    def _one_like(self):
-        return self.algebra.one()
-
-    def _scalar_into(self, c):
-        return self.algebra.from_scalar(c)
-
 
 # ---------------------------------------------------------------------------
 # ring homomorphisms out of polynomial rings
@@ -420,15 +406,12 @@ class RingHom:
     Optional relations (polynomials in the generators, e.g. defining
     polynomials of ring generators) are checked to map to zero at
     construction, so the map really factors through the quotient.  Values
-    are computed by ``kernel.poly_eval`` in the one domain of the images;
-    ``sample`` is an element of R, kept as ``self.sample``.
+    are computed by ``kernel.poly_eval`` in the one domain of the images.
     """
 
-    def __init__(self, generators: Sequence[str], images: dict, sample,
-                 relations: Sequence = ()):
+    def __init__(self, generators: Sequence[str], images: dict, relations: Sequence = ()):
         self.generators = tuple(generators)
         self.images = dict(images)
-        self.sample = sample
         for g in self.generators:
             if g not in self.images:
                 raise ValueError("no image for generator %r" % g)

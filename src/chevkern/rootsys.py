@@ -61,12 +61,6 @@ class RootSystem:
             raise ValueError("%r is not a root of %s" % (root, self.kind))
         return root.norm2() == min(r.norm2() for r in self.roots)
 
-    def positive_roots(self):
-        # positive = first nonzero coordinate positive (matches the usual
-        # choice for both families in these coordinates)
-        return tuple(r for r in self.roots
-                     if next(c for c in r.coords if c != 0) > 0)
-
     def __repr__(self):
         return "RootSystem(%s, %d roots)" % (self.kind, len(self.roots))
 

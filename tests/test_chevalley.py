@@ -289,7 +289,7 @@ def test_graded_piece_level_errors():
         graded_piece(g, 2)   # nontrivial at level 1
     with pytest.raises(LevelError):
         graded_piece(g, 3)   # out of range
-    h = m.h(Root((1, -1, 0)), algebra.from_scalar(2))
+    h = m.h(Root((1, -1, 0)), algebra.coerce(2))
     with pytest.raises(LevelError):
         graded_piece(h, 1)   # not congruent to the identity
 
@@ -303,8 +303,8 @@ def test_graded_piece_additivity():
         for _ in range(10):
             r1, r2 = rng.choice(roots), rng.choice(roots)
             q1, q2 = Q(rng.randint(-3, 3)), Q(rng.randint(-3, 3))
-            c1 = m.e(r1, algebra.eps(s) * algebra.from_scalar(q1))
-            c2 = m.e(r2, algebra.eps(s) * algebra.from_scalar(q2))
+            c1 = m.e(r1, algebra.eps(s) * algebra.coerce(q1))
+            c2 = m.e(r2, algebra.eps(s) * algebra.coerce(q2))
             lhs = graded_piece(c1 * c2, s)
             rhs = graded_piece(c1, s) + graded_piece(c2, s)
             assert lhs == rhs

@@ -207,6 +207,18 @@ def test_units_suite_does_not_count_other_errors_as_pass(tmp_path, monkeypatch):
         cli.main(args + ["--output", str(tmp_path / "broken.txt")])
 
 
+def test_default_units_run_checks_a_non_unit(tmp_path, monkeypatch):
+    # the default samples seldom have a zero constant coefficient, so the run
+    # also inverts each sample's tail; an inverse that accepts it must fail
+    original = TruncElement.inverse
+
+    def lenient(x):
+        return original(x) if x.is_unit() else x.algebra.one()
+
+    monkeypatch.setattr(TruncElement, "inverse", lenient)
+    assert cli.main(["units", "--seed", "0", "--output", str(tmp_path / "units.txt")]) == 1
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "chevkern", "units",
                            "--samples", "3"],

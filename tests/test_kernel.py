@@ -10,17 +10,25 @@ from chevkern.kernel import (
     MultiPoly,
     NotAUnitError,
     NumberField,
+    QQ,
+    PolyDomain,
     SingularMatrixError,
     UnassignedVariableError,
+    as_ring_element,
+    domain_key,
     is_zero,
-    matinv,
-    matmul,
+    one_like,
     parse_polynomial,
     poly_eval,
     rational_roots,
+    ring_inv,
+    ring_of,
     row_reduce,
     rref,
+    scalar_into,
+    zero_like,
 )
+from chevkern.rings import SumAlgebra, TruncAlgebra
 
 
 # --- row reduction ---------------------------------------------------------
@@ -94,14 +102,14 @@ def test_matinv_roundtrip_unimodular():
     for _ in range(200):
         n = rng.randint(1, 5)
         m = _random_unimodular(rng, n)
-        assert (m * matinv(m)).is_identity()
-        assert (matinv(m) * m).is_identity()
+        assert (m * m.inv()).is_identity()
+        assert (m.inv() * m).is_identity()
 
 
 def test_matinv_unipotent_symbolic():
     s = MultiPoly.variable("s")
     m = Matrix.from_rows([[1, s], [0, 1]])
-    inv = matinv(m)
+    inv = m.inv()
     assert inv == Matrix.from_rows([[1, -s], [0, 1]])
     assert (m * inv).is_identity()
 
@@ -109,7 +117,7 @@ def test_matinv_unipotent_symbolic():
 def test_matinv_singular_rational():
     m = Matrix.from_rows([[1, 2], [2, 4]])
     with pytest.raises(SingularMatrixError) as err:
-        matinv(m)
+        m.inv()
     assert err.value.determinant == 0
 
 
@@ -131,11 +139,11 @@ def test_det_multiplicative_random():
 def test_matmul_shapes_and_transpose():
     a = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
     b = Matrix.from_rows([[1, 0], [0, 1], [1, 1]])
-    ab = matmul(a, b)
+    ab = a * b
     assert ab.rows() == [[Q(4), Q(5)], [Q(10), Q(11)]]
     assert a.transpose().rows() == [[Q(1), Q(4)], [Q(2), Q(5)], [Q(3), Q(6)]]
     with pytest.raises(ValueError):
-        matmul(b, b)
+        b * b
 
 
 def test_matrix_rejects_mixed_domains():
@@ -419,3 +427,76 @@ def test_field_inverse_singular_raises():
         assert is_zero(m.det())
         with pytest.raises(SingularMatrixError):
             m.inv()
+
+
+# --- the ring protocol behind the generic helpers ---------------------------
+
+def _protocol_cases():
+    """(element x, domain_key, zero, one, image of 3/2, x^-1, a non-unit)."""
+    XY = ("X", "Y")
+    X, _ = MultiPoly.variables_in(*XY)
+    K = NumberField("w", (-2, 0, 1))
+    w = K.generator()
+    A = TruncAlgebra(3)
+    x0, _ = MultiPoly.variables_in("x0", "x1")
+    P = TruncAlgebra(2, PolyDomain("x0", "x1"))
+    N = TruncAlgebra(2, K)
+    F1, F2 = TruncAlgebra(2), TruncAlgebra(1)
+    S = SumAlgebra([F1, F2])
+    return [
+        pytest.param(Q(2, 3), ("Q",), Q(0), Q(1), Q(3, 2), Q(3, 2), Q(0),
+                     id="Fraction"),
+        pytest.param(MultiPoly(XY, {(0, 0): 2}), ("QPoly",), MultiPoly(XY, {}),
+                     MultiPoly(XY, {(0, 0): 1}), MultiPoly(XY, {(0, 0): Q(3, 2)}),
+                     MultiPoly(XY, {(0, 0): Q(1, 2)}), X + 1, id="MultiPoly"),
+        # (1 + w)(w - 1) = w^2 - 1 = 1
+        pytest.param(K.element((1, 1)), ("NF", "w", (-2, 0, 1)), K.element((0, 0)),
+                     K.element((1, 0)), K.element((Q(3, 2), 0)), K.element((-1, 1)),
+                     K.element((0, 0)), id="NumberFieldElement"),
+        pytest.param(A.element([1, 1]), ("Trunc", 3, ("Q",)), A.element([0, 0, 0]),
+                     A.element([1, 0, 0]), A.element([Q(3, 2), 0, 0]),
+                     A.element([1, -1, 1]), A.element([0, 1]), id="Trunc-QQ"),
+        # (2 + x0 e)(1/2 - x0/4 e) = 1 mod e^2
+        pytest.param(P.element([2, x0]), ("Trunc", 2, ("QPoly",)), P.element([0, 0]),
+                     P.element([1, 0]), P.element([Q(3, 2), 0]),
+                     P.element([Q(1, 2), x0 * Q(-1, 4)]), P.element([x0, 1]),
+                     id="Trunc-PolyDomain"),
+        # (w + e)^-1 = 1/w - e/w^2 = w/2 - e/2
+        pytest.param(N.element([w, 1]), ("Trunc", 2, ("NF", "w", (-2, 0, 1))),
+                     N.element([K.element((0, 0))] * 2),
+                     N.element([K.element((1, 0)), K.element((0, 0))]),
+                     N.element([K.element((Q(3, 2), 0)), K.element((0, 0))]),
+                     N.element([K.element((0, Q(1, 2))), K.element((Q(-1, 2), 0))]),
+                     N.eps(), id="Trunc-NumberField"),
+        pytest.param(S.element([F1.element([1, 1]), F2.element([2])]),
+                     ("Sum", (("Trunc", 2, ("Q",)), ("Trunc", 1, ("Q",)))),
+                     S.element([F1.element([0, 0]), F2.element([0])]),
+                     S.element([F1.element([1, 0]), F2.element([1])]),
+                     S.element([F1.element([Q(3, 2), 0]), F2.element([Q(3, 2)])]),
+                     S.element([F1.element([1, -1]), F2.element([Q(1, 2)])]),
+                     S.element([F1.element([1, 0]), F2.element([0])]), id="SumElement"),
+    ]
+
+
+@pytest.mark.parametrize("x, key, zero, one, three_halves, inverse, non_unit",
+                         _protocol_cases())
+def test_ring_protocol_by_hand(x, key, zero, one, three_halves, inverse, non_unit):
+    assert domain_key(x) == key
+    for got, want in ((zero_like(x), zero), (one_like(x), one),
+                      (scalar_into(Q(3, 2), x), three_halves)):
+        assert got == want and type(got) is type(want)
+        if isinstance(x, MultiPoly):
+            assert got.variables == x.variables
+    assert is_zero(zero) and not is_zero(x)
+    assert ring_inv(x) == inverse and x * ring_inv(x) == one
+    with pytest.raises(NotAUnitError):
+        ring_inv(non_unit)
+
+
+def test_ring_protocol_on_ints_and_non_elements():
+    assert as_ring_element(5) == Q(5) and type(as_ring_element(5)) is Q
+    # an int is a rational: its inverse stays exact
+    assert ring_of(2) is QQ and ring_inv(2) == Q(1, 2) and type(ring_inv(2)) is Q
+    for helper in (domain_key, zero_like, ring_inv, as_ring_element):
+        with pytest.raises(DomainMismatchError):
+            helper(object())

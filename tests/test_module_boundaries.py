@@ -1,7 +1,9 @@
-"""No chevkern module imports a single-underscore name from a sibling module."""
+"""Module boundaries: private names stay private, the bench tracer finds its names."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chevkern"
 
@@ -25,3 +27,13 @@ def test_no_module_imports_a_sibling_private_name():
     paths = sorted(SRC.glob("*.py"))
     assert paths
     assert [hit for path in paths for hit in private_imports(path)] == []
+
+
+def test_bench_tracer_finds_every_name():
+    # the benchmark's tracer patches chevkern names from outside; a rename in
+    # src that it no longer finds raises here, and uninstall puts all back
+    trace = pytest.importorskip("chevbench.trace")
+    tracer = trace.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    assert tracer.restored()

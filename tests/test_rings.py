@@ -10,7 +10,6 @@ from chevkern.kernel import (
     MultiPoly,
     NotAUnitError,
     NumberField,
-    NumberFieldDomain,
     PolyDomain,
     SingularMatrixError,
 )
@@ -23,9 +22,6 @@ from chevkern.rings import (
     TruncElement,
     expand_unit_product,
     factor_one_minus_ux,
-    trunc_add,
-    trunc_inv,
-    trunc_mul,
     unit_group_witness,
 )
 
@@ -37,7 +33,7 @@ def test_trunc_hand_products():
     A3 = TruncAlgebra(3)
     one_plus = A2.one() + A2.eps()
     one_minus = A2.one() - A2.eps()
-    assert trunc_mul(one_plus, one_minus) == A2.one()
+    assert one_plus * one_minus == A2.one()
     p3 = A3.one() + A3.eps()
     m3 = A3.one() - A3.eps()
     assert p3 * m3 == A3.one() - A3.eps(2)
@@ -47,8 +43,8 @@ def test_trunc_hand_products():
 def test_trunc_inverse_d4():
     A = TruncAlgebra(4)
     x = A.one() + A.eps()
-    assert trunc_inv(x) == A.element([1, -1, 1, -1])
-    assert x * trunc_inv(x) == A.one()
+    assert x.inverse() == A.element([1, -1, 1, -1])
+    assert x * x.inverse() == A.one()
 
 
 def test_trunc_inverse_roundtrip_random():
@@ -75,7 +71,7 @@ def test_unit_criterion_exhaustive_small():
         else:
             assert not x.is_unit()
             with pytest.raises(NotAUnitError):
-                trunc_inv(x)
+                x.inverse()
 
 
 def test_trunc_ring_axioms_random():
@@ -84,7 +80,7 @@ def test_trunc_ring_axioms_random():
     for _ in range(60):
         xs = [A.element([Q(rng.randint(-4, 4)) for _ in range(5)]) for _ in range(3)]
         x, y, z = xs
-        assert trunc_add(x, y) == trunc_add(y, x)
+        assert x + y == y + x
         assert x * y == y * x
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
@@ -101,7 +97,7 @@ def test_trunc_mismatched_order_rejected():
 
 def test_trunc_over_number_field():
     K = NumberField("w", (-2, 0, 1))
-    A = TruncAlgebra(3, base=NumberFieldDomain(K))
+    A = TruncAlgebra(3, base=K)
     w = K.generator()
     x = A.element([w, K.one(), K.zero()])
     y = x * x
@@ -162,14 +158,14 @@ def test_sum_algebra_zero_divisors():
 
 def test_ring_hom_into_trunc():
     A = TruncAlgebra(3)
-    h = RingHom(["X"], {"X": A.eps()}, sample=A.one())
+    h = RingHom(["X"], {"X": A.eps()})
     assert h.apply("1 + X + X^2") == A.element([1, 1, 1])
     assert h.apply("X^3").is_zero()
 
 
 def test_ring_hom_constants_land_in_the_target():
     A = TruncAlgebra(3)
-    h = RingHom(["X"], {"X": A.eps()}, sample=A.one())
+    h = RingHom(["X"], {"X": A.eps()})
     for text, value in (("3", A.element([3])), ("0", A.zero())):
         image = h.apply(text)
         assert isinstance(image, TruncElement) and image == value
@@ -178,8 +174,8 @@ def test_ring_hom_constants_land_in_the_target():
 def test_ring_hom_missing_image_raises():
     A = TruncAlgebra(3)
     with pytest.raises(ValueError):
-        RingHom(["X", "Y"], {"X": A.eps()}, sample=A.one())
-    h = RingHom(["X"], {"X": A.eps()}, sample=A.one())
+        RingHom(["X", "Y"], {"X": A.eps()})
+    h = RingHom(["X"], {"X": A.eps()})
     with pytest.raises(ValueError):
         h.apply(MultiPoly.variable("Y") + MultiPoly.variable("X"))
     with pytest.raises(ValueError):
@@ -189,9 +185,9 @@ def test_ring_hom_missing_image_raises():
 def test_ring_hom_relation_check():
     A = TruncAlgebra(3)
     # X -> e respects X^3 = 0
-    RingHom(["X"], {"X": A.eps()}, sample=A.one(), relations=["X^3"])
+    RingHom(["X"], {"X": A.eps()}, relations=["X^3"])
     with pytest.raises(RelationNotPreservedError):
-        RingHom(["X"], {"X": A.eps()}, sample=A.one(), relations=["X^2"])
+        RingHom(["X"], {"X": A.eps()}, relations=["X^2"])
 
 
 def test_ring_hom_into_sum_quotient():
@@ -199,8 +195,7 @@ def test_ring_hom_into_sum_quotient():
     F1, F2 = TruncAlgebra(3), TruncAlgebra(1)
     S = SumAlgebra([F1, F2])
     image = S.element([F1.eps(), F2.one()])
-    h = RingHom(["X"], {"X": image}, sample=S.one(),
-                relations=["X^3 * (X - 1)"])
+    h = RingHom(["X"], {"X": image}, relations=["X^3 * (X - 1)"])
     assert h.apply("X^2") == S.element([F1.eps(2), F2.one()])
 
 
