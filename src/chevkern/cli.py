@@ -57,7 +57,6 @@ from .extensions import (
 )
 from .kernel import Matrix, MultiPoly, NotAUnitError, is_zero
 from .rings import TruncAlgebra, factor_one_minus_ux, unit_group_witness
-from .rootsys import UnsupportedRootSystemError
 from .steinberg import (
     NONSYMPLECTIC_RELATIONS,
     SYMPLECTIC_RELATIONS,
@@ -66,9 +65,6 @@ from .steinberg import (
     derived_symbol_identities,
     symbol_is_central_kernel,
 )
-
-SUITES = ("relations", "symbols", "units", "filtration", "extensions",
-          "derivations", "all")
 
 DEFAULT_PROBLEM = """\
 base rational
@@ -105,6 +101,22 @@ class Report:
             "status": "PASS" if ok else "FAIL",
             "detail": {k: _plain(v) for k, v in sorted(detail.items())},
         })
+
+    def check(self, name: str, draws, test, **detail):
+        """One record for ``test(*sample)`` over samples drawn beforehand: PASS
+        with ``detail``, or FAIL at the first sample that the test rejects or
+        raises on, with that ``sample`` and the exception's ``error`` and
+        ``message``."""
+        for sample in draws:
+            try:
+                if test(*sample):
+                    continue
+                raised = {}
+            except Exception as exc:
+                raised = {"error": type(exc).__name__, "message": str(exc)}
+            self.add(name, False, sample=sample, **raised)
+            return
+        self.add(name, True, **detail)
 
     @property
     def failed(self) -> int:
@@ -145,18 +157,21 @@ def _rat(rng, lo=-9, hi=9) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, 9))
 
 
+def _draw_until(draw, accept):
+    x = draw()
+    while not accept(x):
+        x = draw()
+    return x
+
+
 def _nonzero_rat(rng) -> Fraction:
-    q = _rat(rng)
-    while q == 0:
-        q = _rat(rng)
-    return q
+    return _draw_until(lambda: _rat(rng), bool)
 
 
 def _trunc_elem(algebra: TruncAlgebra, rng, unit=False):
     coeffs = [_rat(rng) for _ in range(algebra.d)]
-    if unit:
-        while coeffs[0] == 0:
-            coeffs[0] = _rat(rng)
+    if unit and coeffs[0] == 0:
+        coeffs[0] = _nonzero_rat(rng)
     return algebra.element(coeffs)
 
 
@@ -165,69 +180,57 @@ def _root_name(root) -> str:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: runners read what load_inputs built on cfg, and draw every sample
+# before checking, so no check reads the suite's random stream
 
 def run_relations(report: Report, cfg, rng):
-    model = build_model(cfg.system)
-    constants = load_structure_constants(model.system.kind)
+    model = cfg.model
+    kind = model.system.kind
+    constants = load_structure_constants(kind)
     s, t = MultiPoly.variables_in("s", "t")
     algebra = TruncAlgebra(cfg.trunc)
     for alpha, beta in ordered_root_pairs(model.system):
         chk = verify_commutator(model, alpha, beta, s, t, constants)
         report.add("commutator %s [%s, %s] formal" %
-                   (model.system.kind, _root_name(alpha), _root_name(beta)),
+                   (kind, _root_name(alpha), _root_name(beta)),
                    chk.ok,
                    constants=["N(%d,%d)=%d" % u for u in chk.used])
         st = _trunc_elem(algebra, rng)
         tt = _trunc_elem(algebra, rng)
         chk2 = verify_commutator(model, alpha, beta, st, tt, constants)
         report.add("commutator %s [%s, %s] mod e^%d" %
-                   (model.system.kind, _root_name(alpha), _root_name(beta), cfg.trunc),
+                   (kind, _root_name(alpha), _root_name(beta), cfg.trunc),
                    chk2.ok, s=str(st), t=str(tt))
     k = max(3, cfg.samples // 5)
     for alpha in model.system.roots:
-        ok = all(verify_additivity(model, alpha, _rat(rng), _rat(rng))
-                 for _ in range(k))
-        ok = ok and all(
-            verify_additivity(model, alpha, _trunc_elem(algebra, rng),
-                              _trunc_elem(algebra, rng))
-            for _ in range(3))
-        report.add("one-parameter additivity %s %s" %
-                   (model.system.kind, _root_name(alpha)), ok, samples=k + 3)
+        draws = ([(_rat(rng), _rat(rng)) for _ in range(k)]
+                 + [(_trunc_elem(algebra, rng), _trunc_elem(algebra, rng)) for _ in range(3)])
+        report.check("one-parameter additivity %s %s" % (kind, _root_name(alpha)),
+                     draws, lambda a, b: verify_additivity(model, alpha, a, b),
+                     samples=k + 3)
 
 
 def run_symbols(report: Report, cfg, rng):
-    model = build_model(cfg.system)
+    model = cfg.model
     algebra = TruncAlgebra(cfg.trunc)
     k = max(3, cfg.samples // 5)
     for alpha in model.system.roots:
-        ok = True
-        for _ in range(k):
-            chk = symbol_is_central_kernel(model, alpha,
-                                           _nonzero_rat(rng), _nonzero_rat(rng))
-            ok = ok and chk.ok
-        for _ in range(3):
-            chk = symbol_is_central_kernel(model, alpha,
-                                           _trunc_elem(algebra, rng, unit=True),
-                                           _trunc_elem(algebra, rng, unit=True))
-            ok = ok and chk.ok
-        report.add("symbol word collapses %s %s" %
-                   (model.system.kind, _root_name(alpha)), ok, samples=k + 3)
-    symbol = TameSymbol(cfg.prime)
+        draws = ([(_nonzero_rat(rng), _nonzero_rat(rng)) for _ in range(k)]
+                 + [(_trunc_elem(algebra, rng, unit=True), _trunc_elem(algebra, rng, unit=True))
+                    for _ in range(3)])
+        report.check("symbol word collapses %s %s" %
+                     (model.system.kind, _root_name(alpha)), draws,
+                     lambda u, v: symbol_is_central_kernel(model, alpha, u, v).ok,
+                     samples=k + 3)
     names = (SYMPLECTIC_RELATIONS if model.system.family == "C"
              else NONSYMPLECTIC_RELATIONS)
     report.add("relation set for %s" % model.system.kind, True,
                relations=list(names))
-    for rec in check_symbol_relations(symbol, names, samples=cfg.samples,
-                                      seed=cfg.seed):
-        report.add("tame symbol p=%d relation %s" % (cfg.prime, rec.name),
-                   rec.ok, checked=rec.checked,
-                   failures=[str(f) for f in rec.failures[:3]])
-    for rec in derived_symbol_identities(symbol, samples=cfg.samples,
-                                         seed=cfg.seed):
-        report.add("tame symbol p=%d derived %s" % (cfg.prime, rec.name),
-                   rec.ok, checked=rec.checked,
-                   failures=[str(f) for f in rec.failures[:3]])
+    relations = check_symbol_relations(cfg.symbol, names, cfg.samples, cfg.seed)
+    derived = derived_symbol_identities(cfg.symbol, cfg.samples, cfg.seed)
+    for kind, rec in [("relation", r) for r in relations] + [("derived", r) for r in derived]:
+        report.add("tame symbol p=%d %s %s" % (cfg.prime, kind, rec.name), rec.ok,
+                   checked=rec.checked, failures=[str(f) for f in rec.failures[:3]])
 
 
 def _inverse_refused(x) -> bool:
@@ -239,55 +242,45 @@ def _inverse_refused(x) -> bool:
     return False
 
 
+def _inverts(x) -> bool:
+    """A unit has an inverse, a non-unit and the tail of any x refuse one."""
+    is_unit = x.is_unit()
+    good = (x * x.inverse()) == x.algebra.one() if is_unit else _inverse_refused(x)
+    # the tail has constant coefficient 0, so every sample also checks a non-unit
+    return good and _inverse_refused(x.tail()) and is_unit == (x.coeff(0) != 0)
+
+
+def _factors_one_minus(u, x) -> bool:
+    fact = factor_one_minus_ux(u, x)
+    return x.algebra.one() - x * u == fact.unit * fact.scalar
+
+
 def run_units(report: Report, cfg, rng):
     algebra = TruncAlgebra(cfg.trunc)
     d = cfg.trunc
-    ok = True
-    checked = 0
-    for _ in range(cfg.samples):
-        x = _trunc_elem(algebra, rng)
-        is_unit = x.is_unit()
-        good = (x * x.inverse()) == algebra.one() if is_unit else _inverse_refused(x)
-        # the tail has constant coefficient 0, so every sample also checks a non-unit
-        good = good and _inverse_refused(x.tail())
-        ok = ok and good and (is_unit == (x.coeff(0) != 0))
-        checked += 1
-    report.add("unit criterion and inverses mod e^%d" % d, ok, checked=checked)
+    draws = [(_trunc_elem(algebra, rng),) for _ in range(cfg.samples)]
+    report.check("unit criterion and inverses mod e^%d" % d, draws, _inverts,
+                 checked=cfg.samples)
 
-    ok = True
-    produced = 0
-    for _ in range(cfg.samples):
-        x = _trunc_elem(algebra, rng, unit=True)
-        while x.coeff(1) == 0:
-            x = _trunc_elem(algebra, rng, unit=True)
-        target = algebra.one() + algebra.eps(1) * _trunc_elem(algebra, rng)
-        try:
-            unit_group_witness(x, target)  # self-checks by re-expansion
-        except ArithmeticError:
-            ok = False
-            continue
-        produced += 1
-    report.add("unit group witnesses mod e^%d" % d, ok, produced=produced)
+    draws = [(_draw_until(lambda: _trunc_elem(algebra, rng, unit=True),
+                          lambda x: x.coeff(1) != 0),
+              algebra.one() + algebra.eps(1) * _trunc_elem(algebra, rng))
+             for _ in range(cfg.samples)]
+    # unit_group_witness self-checks by re-expansion and raises on a mismatch
+    report.check("unit group witnesses mod e^%d" % d, draws,
+                 lambda x, target: unit_group_witness(x, target) is not None,
+                 produced=cfg.samples)
 
-    ok = True
-    factored = 0
-    skipped = 0
-    for _ in range(cfg.samples):
-        u = _nonzero_rat(rng)
-        x = _trunc_elem(algebra, rng)
-        try:
-            fact = factor_one_minus_ux(u, x)
-        except NotAUnitError:
-            skipped += 1
-            continue
-        ok = ok and (algebra.one() - x * u == fact.unit * fact.scalar)
-        factored += 1
-    report.add("one-minus factorization mod e^%d" % d, ok,
-               factored=factored, skipped=skipped)
+    draws = [(_nonzero_rat(rng), _trunc_elem(algebra, rng)) for _ in range(cfg.samples)]
+    # the factorization needs 1 - u*x0 to be a unit of Q
+    factorable = [(u, x) for u, x in draws if u * x.coeff(0) != 1]
+    report.check("one-minus factorization mod e^%d" % d, factorable,
+                 _factors_one_minus, factored=len(factorable),
+                 skipped=len(draws) - len(factorable))
 
 
 def run_filtration(report: Report, cfg, rng):
-    model = build_model(cfg.system)
+    model = cfg.model
     fr = congruence_dimension(model, cfg.trunc)
     for level, dim in enumerate(fr.per_level, start=1):
         report.add("congruence level %d of %s mod e^%d" %
@@ -298,36 +291,33 @@ def run_filtration(report: Report, cfg, rng):
                total=fr.total, expected=fr.expected_total)
 
     algebra = TruncAlgebra(cfg.trunc)
-    ok = True
-    for _ in range(max(3, cfg.samples // 5)):
+
+    def splits(*letters):
         g = model.identity(like=algebra.one())
-        for _ in range(3):
-            alpha = rng.choice(model.system.roots)
-            g = g * model.e(alpha, _trunc_elem(algebra, rng))
+        for alpha, t in letters:
+            g = g * model.e(alpha, t)
         g0, c = levi_decompose(g)
         embedded = Matrix(g0.matrix.nrows, g0.matrix.ncols,
                           tuple(algebra.element([x]) for x in g0.matrix.entries))
-        ok = ok and (embedded * c.matrix == g.matrix)
-        ok = ok and model.check_membership(g0)
-    report.add("constant-term splitting %s" % model.system.kind, ok)
+        return embedded * c.matrix == g.matrix and model.check_membership(g0)
 
-    ok = True
-    for alpha in model.system.roots:
-        r = _nonzero_rat(rng)
-        ok = ok and perfectness_witness(model, alpha, r).ok
-    report.add("root elements are commutators %s" % model.system.kind, ok,
-               scaling="s=2")
+    draws = [tuple((rng.choice(model.system.roots), _trunc_elem(algebra, rng))
+                   for _ in range(3))
+             for _ in range(max(3, cfg.samples // 5))]
+    report.check("constant-term splitting %s" % model.system.kind, draws, splits)
+
+    draws = [(alpha, _nonzero_rat(rng)) for alpha in model.system.roots]
+    report.check("root elements are commutators %s" % model.system.kind, draws,
+                 lambda alpha, r: perfectness_witness(model, alpha, r).ok,
+                 scaling="s=2")
 
 
 def run_extensions(report: Report, cfg, rng):
     lie = TracelessMatrices(2)
-    n = lie.n
-    ok = True
-    for _ in range(max(3, cfg.samples // 5)):
-        x = lie.random_element(rng)
-        y = lie.random_element(rng)
-        ok = ok and (killing_form(lie, x, y) == 2 * n * (x * y).trace())
-    report.add("pairing equals scaled trace form", ok)
+    draws = [(lie.random_element(rng), lie.random_element(rng))
+             for _ in range(max(3, cfg.samples // 5))]
+    report.check("pairing equals scaled trace form", draws,
+                 lambda x, y: killing_form(lie, x, y) == 2 * lie.n * (x * y).trace())
 
     verdict = splitness_verdict(HeisenbergLikeGroup(lie))
     central = verdict.witness[2] if verdict.witness else None
@@ -365,7 +355,7 @@ def run_extensions(report: Report, cfg, rng):
                section_checked=rep2.section_checked)
 
     if cfg.input:
-        algebras = [("input", FinDimAlgebra.load(cfg.input))]
+        algebras = [("input", cfg.input_algebra)]
     else:
         algebras = [
             ("split quadratic", FinDimAlgebra.from_univariate_quotient([0, -1, 1])),
@@ -396,25 +386,21 @@ def run_extensions(report: Report, cfg, rng):
 
 
 def run_derivations(report: Report, cfg, rng):
-    text = Path(cfg.input).read_text() if cfg.input else DEFAULT_PROBLEM
-    algebra, points = parse_problem(text)
+    algebra, points = cfg.problem
     if not points:
         report.add("problem has points", False)
         return
-    dims = []
     for point in points:
         rep = der_dim(algebra, point, mode="relative")
-        ok = len(rep.tangent_basis) == rep.dim
-        for tangent in rep.tangent_basis:
-            for f in algebra.relations:
-                ok = ok and is_zero(apply_derivation(algebra, point, tangent, f))
-        dims.append(rep.dim)
-        pname = " ".join("%s=%s" % (k, point[k]) for k in sorted(point))
-        report.add("derivations at %s" % (pname or "the base point"), ok,
-                   dim=rep.dim, mode="relative")
+        pname = " ".join("%s=%s" % (k, point[k]) for k in sorted(point)) or "the base point"
+        report.check("derivations at %s" % pname, [(point,)],
+                     lambda p: len(rep.tangent_basis) == rep.dim and all(
+                         is_zero(apply_derivation(algebra, p, tangent, f))
+                         for tangent in rep.tangent_basis for f in algebra.relations),
+                     dim=rep.dim, mode="relative")
         if algebra.field is not None:
             rep_abs = der_dim(algebra, point, mode="absolute")
-            report.add("absolute derivations at %s" % (pname or "the base point"),
+            report.add("absolute derivations at %s" % pname,
                        len(rep_abs.tangent_basis) == rep_abs.dim,
                        dim=rep_abs.dim, mode="absolute")
     scan = smoothness_scan(algebra, points)
@@ -432,19 +418,12 @@ def run_derivations(report: Report, cfg, rng):
         hvar = algebra.variables[0]
         h = MultiPoly.variable(hvar)
         loc = localize(algebra, h)
-        checked = 0
-        skipped = 0
-        ok = True
-        for point in points:
-            try:
-                lifted = extend_point(algebra, h, point)
-            except ValueError:
-                skipped += 1
-                continue
-            ok = ok and (der_dim(loc, lifted).dim == der_dim(algebra, point).dim)
-            checked += 1
-        report.add("localization keeps dimensions (inverting %s)" % hvar, ok,
-                   checked=checked, skipped=skipped)
+        # a point where h vanishes has no lift to the localization
+        lifts = [(p, extend_point(algebra, h, p)) for p in points if not is_zero(p[hvar])]
+        report.check("localization keeps dimensions (inverting %s)" % hvar, lifts,
+                     lambda point, lifted:
+                         der_dim(loc, lifted).dim == der_dim(algebra, point).dim,
+                     checked=len(lifts), skipped=len(points) - len(lifts))
 
 
 SUITE_RUNNERS = {
@@ -462,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chevkern",
         description="Exact verification suites for Chevalley group kernels "
                     "and related structures.")
-    parser.add_argument("suite", choices=SUITES)
+    parser.add_argument("suite", choices=(*SUITE_RUNNERS, "all"))
     parser.add_argument("--system", default="A2",
                         help="root system label, e.g. A2, A3, C2 (default A2)")
     parser.add_argument("--trunc", type=int, default=4, metavar="D",
@@ -482,6 +461,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def load_inputs(cfg, suites) -> None:
+    """Build what the selected suites read; OSError/ValueError on bad input."""
+    if {"relations", "symbols", "filtration"} & set(suites):
+        cfg.model = build_model(cfg.system)
+    if "symbols" in suites:
+        cfg.symbol = TameSymbol(cfg.prime)
+    if "extensions" in suites and cfg.input:
+        cfg.input_algebra = FinDimAlgebra.load(cfg.input)
+    if "derivations" in suites:
+        text = Path(cfg.input).read_text() if cfg.input else DEFAULT_PROBLEM
+        algebra, points = parse_problem(text)
+        for point in points:
+            algebra.check_point(point)
+        cfg.problem = (algebra, points)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     cfg = parser.parse_args(argv)
@@ -493,19 +488,23 @@ def main(argv=None) -> int:
         parser.error("--input only applies to a single suite")
 
     suites = list(SUITE_RUNNERS) if cfg.suite == "all" else [cfg.suite]
+    try:
+        load_inputs(cfg, suites)
+    except (OSError, ValueError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+
     config = {"system": cfg.system, "trunc": cfg.trunc, "prime": cfg.prime,
               "samples": cfg.samples, "seed": cfg.seed,
               "input": cfg.input or ""}
     report = Report(cfg.suite, config)
-    try:
-        for suite in suites:
+    for suite in suites:
+        try:
             SUITE_RUNNERS[suite](report, cfg, _suite_rng(cfg.seed, suite))
-    except UnsupportedRootSystemError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        except Exception as exc:
+            # a check that raised is a failure of that suite, not a usage error
+            report.add("%s suite" % suite, False,
+                       error=type(exc).__name__, message=str(exc))
 
     out = report.to_json() if cfg.format == "json" else report.to_text()
     if cfg.output:

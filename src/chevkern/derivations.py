@@ -54,6 +54,11 @@ class BaseRing:
             if not self.generator or len(self.minpoly) < 3:
                 raise ValueError("a number ring needs a generator of degree >= 2")
 
+    def minimal_polynomial(self) -> MultiPoly:
+        """The generator's minimal polynomial m(w); a number ring only."""
+        return MultiPoly((self.generator,),
+                         {(k,): c for k, c in enumerate(self.minpoly) if c != 0})
+
     def field(self) -> Optional[NumberField]:
         if self.kind != "numberring":
             return None
@@ -149,9 +154,7 @@ def der_dim(algebra: PresentedAlgebra, point: dict,
     rel_polys = list(algebra.relations)
     if mode == "absolute" and algebra.field is not None:
         columns.append(algebra.base.generator)
-        rel_polys.append(MultiPoly(
-            (algebra.base.generator,),
-            {(k,): c for k, c in enumerate(algebra.base.minpoly) if c != 0}))
+        rel_polys.append(algebra.base.minimal_polynomial())
     if not columns:
         return DerivationReport(mode=mode, columns=(), jacobian=None,
                                 dim=0, tangent_basis=())
@@ -203,9 +206,7 @@ def number_ring_rigidity(base: BaseRing) -> RigidityReport:
     algebra = PresentedAlgebra(base, (), ())
     report = der_dim(algebra, {}, mode="absolute")
     field = algebra.field
-    deriv = MultiPoly((base.generator,),
-                      {(k - 1,): k * c for k, c in enumerate(base.minpoly)
-                       if k >= 1 and c != 0})
+    deriv = base.minimal_polynomial().derivative(base.generator)
     value = poly_eval(deriv, {base.generator: field.generator()})
     return RigidityReport(rigid=(report.dim == 0), derivative_value=value,
                           absolute_dim=report.dim)

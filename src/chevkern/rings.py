@@ -78,31 +78,23 @@ class TruncAlgebra:
         return self.element([MultiPoly.variable("%s%d" % (prefix, k))
                              for k in range(self.d)])
 
-    def parse(self, text: str, bindings: dict = None) -> "TruncElement":
+    def parse(self, text: str) -> "TruncElement":
         """Parse ``x0 + x1*e + x2*e^2`` style text into an element."""
-        names = None
-        if isinstance(self.base, PolyDomain) or bindings:
-            names = None  # free variable names become base polynomial variables
-        else:
-            names = ("e",)
+        # over a polynomial base, free names become base polynomial variables
+        names = None if isinstance(self.base, PolyDomain) else ("e",)
         p = parse_polynomial(text, variables=names)
-        coeffs = []
-        for k in range(self.d):
-            q = _coefficient_in(p, "e", k)
-            coeffs.append(self._coerce_coeff(q, bindings or {}))
+        coeffs = [self._coerce_coeff(_coefficient_in(p, "e", k)) for k in range(self.d)]
         # reject terms of order >= d
         for e, _ in p.terms.items():
             if "e" in p.variables and e[p.variables.index("e")] >= self.d:
                 raise ValueError("term of order >= %d in %r" % (self.d, text))
         return self.element(coeffs)
 
-    def _coerce_coeff(self, q: MultiPoly, bindings: dict):
+    def _coerce_coeff(self, q: MultiPoly):
         if isinstance(self.base, PolyDomain):
             return q
         if q.is_constant():
             return self.base.coerce(q.constant_value())
-        if bindings:
-            return poly_eval(q, bindings)
         raise ValueError("coefficient %s is not a base-domain value" % q)
 
     def __eq__(self, other):

@@ -238,55 +238,57 @@ def _sample_nonzero(rng: random.Random, p: int) -> Fraction:
     return x
 
 
+# name -> (witness arity, test); a test gets the symbol and the drawn
+# arguments, and returns None to skip a sample it does not apply to
+_RELATION_TESTS = {
+    "cocycle": (3, lambda s, x, y, z:
+                s(x, y) * s(x * y, z) % s.p == s(x, y * z) * s(y, z) % s.p),
+    "one_one": (0, lambda s, x, y, z: s(Fraction(1), Fraction(1)) == 1),
+    "inverse_inverse": (2, lambda s, x, y, z: s(x, y) == s(1 / x, 1 / y)),
+    "minus_shift": (2, lambda s, x, y, z: s(x, y) == s(x, -x * y)),
+    "one_minus_shift": (2, lambda s, x, y, z:
+                        None if x == 1 else s(x, y) == s(x, (1 - x) * y)),
+    "multiplicative": (3, lambda s, x, y, z: s(x, y * z) == s(x, y) * s(x, z) % s.p),
+}
+_DERIVED_TESTS = {
+    "left_one": (1, lambda s, x, y: s(Fraction(1), x) == 1),
+    "right_one": (1, lambda s, x, y: s(x, Fraction(1)) == 1),
+    "swap_invert": (2, lambda s, x, y: s(x, y) == s(1 / y, x)),
+    "steinberg": (1, lambda s, x, y: None if x in (0, 1) else s(x, 1 - x) == 1),
+}
+
+
+def _sweep(symbol: TameSymbol, tests: dict, names, draws: int,
+           samples: int, seed: int):
+    """One RelationRecord per name; each sample draws ``draws`` arguments."""
+    rng = random.Random(seed)
+    p = symbol.p
+    records = []
+    for name in names:
+        if name not in tests:
+            raise ValueError("unknown relation %r" % name)
+        arity, test = tests[name]
+        checked = 0
+        failures = []
+        for _ in range(samples):
+            args = [_sample_nonzero(rng, p) for _ in range(draws)]
+            ok = test(symbol, *args)
+            if ok is None:
+                continue
+            checked += 1
+            if not ok:
+                failures.append((name, *args[:arity]))
+        records.append(RelationRecord(name=name, checked=checked, failures=failures))
+    return records
+
+
 def check_symbol_relations(symbol: TameSymbol, names: Sequence[str],
                            samples: int = 100, seed: int = 0):
     """Sweep the named symbol relations on random nonzero rationals.
 
     Returns one RelationRecord per name; failures carry the witness tuple.
     """
-    rng = random.Random(seed)
-    p = symbol.p
-    records = []
-    for name in names:
-        checked = 0
-        failures = []
-        for _ in range(samples):
-            x = _sample_nonzero(rng, p)
-            y = _sample_nonzero(rng, p)
-            z = _sample_nonzero(rng, p)
-            if name == "cocycle":
-                lhs = (symbol(x, y) * symbol(x * y, z)) % p
-                rhs = (symbol(x, y * z) * symbol(y, z)) % p
-                witness = (x, y, z)
-            elif name == "one_one":
-                lhs = symbol(Fraction(1), Fraction(1))
-                rhs = 1
-                witness = ()
-            elif name == "inverse_inverse":
-                lhs = symbol(x, y)
-                rhs = symbol(1 / x, 1 / y)
-                witness = (x, y)
-            elif name == "minus_shift":
-                lhs = symbol(x, y)
-                rhs = symbol(x, -x * y)
-                witness = (x, y)
-            elif name == "one_minus_shift":
-                if x == 1:
-                    continue
-                lhs = symbol(x, y)
-                rhs = symbol(x, (1 - x) * y)
-                witness = (x, y)
-            elif name == "multiplicative":
-                lhs = symbol(x, y * z)
-                rhs = (symbol(x, y) * symbol(x, z)) % p
-                witness = (x, y, z)
-            else:
-                raise ValueError("unknown relation %r" % name)
-            checked += 1
-            if lhs != rhs:
-                failures.append((name,) + witness)
-        records.append(RelationRecord(name=name, checked=checked, failures=failures))
-    return records
+    return _sweep(symbol, _RELATION_TESTS, names, 3, samples, seed)
 
 
 def derived_symbol_identities(symbol: TameSymbol, samples: int = 100, seed: int = 0):
@@ -294,30 +296,4 @@ def derived_symbol_identities(symbol: TameSymbol, samples: int = 100, seed: int 
 
     (1, x) = (x, 1) = 1;  (x, y) = (1/y, x);  (x, 1 - x) = 1 for x != 0, 1.
     """
-    rng = random.Random(seed)
-    records = []
-    for name in ("left_one", "right_one", "swap_invert", "steinberg"):
-        checked = 0
-        failures = []
-        for _ in range(samples):
-            x = _sample_nonzero(rng, symbol.p)
-            y = _sample_nonzero(rng, symbol.p)
-            if name == "left_one":
-                ok = symbol(Fraction(1), x) == 1
-                witness = (x,)
-            elif name == "right_one":
-                ok = symbol(x, Fraction(1)) == 1
-                witness = (x,)
-            elif name == "swap_invert":
-                ok = symbol(x, y) == symbol(1 / y, x)
-                witness = (x, y)
-            else:
-                if x in (0, 1):
-                    continue
-                ok = symbol(x, 1 - x) == 1
-                witness = (x,)
-            checked += 1
-            if not ok:
-                failures.append((name,) + witness)
-        records.append(RelationRecord(name=name, checked=checked, failures=failures))
-    return records
+    return _sweep(symbol, _DERIVED_TESTS, _DERIVED_TESTS, 2, samples, seed)

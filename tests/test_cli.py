@@ -2,12 +2,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from chevkern import cli
-from chevkern.rings import TruncElement
+from chevkern.rings import TruncAlgebra, TruncElement
 
 
 def run_main(args, tmp_path, name="out.json"):
@@ -168,8 +169,7 @@ def test_pinned_report_digests(tmp_path, monkeypatch):
 
 
 def test_usage_errors():
-    assert cli.main(["relations", "--system", "G2"]) == 2
-    assert cli.main(["derivations", "--input", "/does/not/exist.txt"]) == 2
+    # argparse rejects these itself; test_exit_codes has the input errors
     with pytest.raises(SystemExit):
         cli.main(["all", "--input", "whatever.txt"])
     with pytest.raises(SystemExit):
@@ -203,8 +203,150 @@ def test_units_suite_does_not_count_other_errors_as_pass(tmp_path, monkeypatch):
     assert code == 0
     assert "PASS unit criterion and inverses mod e^" in text
     monkeypatch.setattr(TruncElement, "inverse", broken)
-    with pytest.raises(ZeroDivisionError, match="injected"):
-        cli.main(args + ["--output", str(tmp_path / "broken.txt")])
+    code, text = run_main(args, tmp_path, "broken.txt")
+    assert code == 1
+    assert ("FAIL unit criterion and inverses mod e^4 | error=ZeroDivisionError; "
+            "message=injected; sample=") in text
+
+
+def _fail_records(text):
+    return [r for r in json.loads(text)["records"] if r["status"] == "FAIL"]
+
+
+def test_relations_fault_is_a_fail_record_with_its_sample(tmp_path, monkeypatch):
+    original = cli.verify_additivity
+
+    def only_rational(model, alpha, s, t):
+        # a fault that only truncated parameters expose
+        return not isinstance(s, TruncElement) and original(model, alpha, s, t)
+
+    monkeypatch.setattr(cli, "verify_additivity", only_rational)
+    code, text = run_main(["relations", "--samples", "5", "--format", "json"], tmp_path)
+    assert code == 1
+    failed = _fail_records(text)
+    assert len(failed) == 6  # one additivity record per root of A2
+    for r in failed:
+        assert r["name"].startswith("one-parameter additivity A2")
+        (s, t) = r["detail"]["sample"]
+        assert set(r["detail"]) == {"sample"} and "*e" in s and "*e" in t
+
+
+def test_symbols_check_that_raises_is_a_fail_record(tmp_path, monkeypatch):
+    def broken(model, alpha, u, v):
+        raise ArithmeticError("injected")
+
+    monkeypatch.setattr(cli, "symbol_is_central_kernel", broken)
+    code, text = run_main(["symbols", "--samples", "5", "--format", "json"], tmp_path)
+    assert code == 1
+    failed = _fail_records(text)
+    assert [r["name"].split(" (")[0] for r in failed] == ["symbol word collapses A2"] * 6
+    assert all(r["detail"]["error"] == "ArithmeticError"
+               and r["detail"]["message"] == "injected"
+               and len(r["detail"]["sample"]) == 2 for r in failed)
+
+
+def test_units_fault_sample_replays(tmp_path, monkeypatch):
+    original = TruncElement.inverse
+
+    def wrong(x):  # a unit's inverse, off in its top coefficient
+        return original(x) + x.algebra.eps(x.algebra.d - 1)
+
+    monkeypatch.setattr(TruncElement, "inverse", wrong)
+    code, text = run_main(["units", "--format", "json"], tmp_path)
+    assert code == 1
+    first = _fail_records(text)[0]
+    assert first["name"] == "unit criterion and inverses mod e^4"
+    (sample,) = first["detail"]["sample"]
+    x = TruncAlgebra(4).parse(sample)
+    assert str(x) == sample and x.is_unit()
+    assert x * x.inverse() != x.algebra.one()  # the fault is still there
+    monkeypatch.undo()
+    assert x * x.inverse() == x.algebra.one()  # and it was the inverse
+
+
+def test_units_self_check_error_is_a_fail_record(tmp_path, monkeypatch):
+    def broken(u, x):
+        raise ArithmeticError("factorization check failed")
+
+    monkeypatch.setattr(cli, "factor_one_minus_ux", broken)
+    code, text = run_main(["units", "--format", "json"], tmp_path)
+    assert code == 1
+    (failed,) = _fail_records(text)
+    assert failed["name"] == "one-minus factorization mod e^4"
+    assert failed["detail"]["error"] == "ArithmeticError"
+    assert failed["detail"]["message"] == "factorization check failed"
+    u, x = failed["detail"]["sample"]
+    assert Fraction(u) != 0 and TruncAlgebra(4).parse(x).algebra.d == 4
+
+
+def test_filtration_level_error_is_a_fail_record_not_a_usage_error(tmp_path, monkeypatch):
+    def broken(g):
+        raise ValueError("element is not congruent to the identity")
+
+    monkeypatch.setattr(cli, "levi_decompose", broken)
+    code, text = run_main(["filtration", "--format", "json"], tmp_path)
+    assert code == 1
+    (failed,) = _fail_records(text)
+    assert failed["name"] == "constant-term splitting A2"
+    assert failed["detail"]["error"] == "ValueError"
+    assert len(failed["detail"]["sample"]) == 3  # the three root letters
+
+
+def test_derivations_fault_is_a_fail_record_with_its_point(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "apply_derivation", lambda *args: Fraction(1))
+    code, text = run_main(["derivations", "--format", "json"], tmp_path)
+    assert code == 1
+    failed = _fail_records(text)
+    # the cusp has a nonzero tangent at every point
+    assert [r["detail"] for r in failed] == [
+        {"sample": [{"X": "0", "Y": "0"}]},
+        {"sample": [{"X": "1", "Y": "1"}]},
+        {"sample": [{"X": "4", "Y": "8"}]}]
+
+
+def _broken_splitting(*args):
+    raise ValueError("section is not a homomorphism")
+
+
+def test_extensions_raise_is_a_suite_fail_record(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "product_splitting", _broken_splitting)
+    code, text = run_main(["extensions", "--format", "json"], tmp_path)
+    assert code == 1
+    (failed,) = _fail_records(text)
+    assert failed == {"name": "extensions suite", "status": "FAIL",
+                      "detail": {"error": "ValueError",
+                                 "message": "section is not a homomorphism"}}
+
+
+def test_all_keeps_every_other_suite_after_a_fault(tmp_path, monkeypatch):
+    args = ["all", "--samples", "5", "--format", "json"]
+    code, clean = run_main(args, tmp_path, "clean.json")
+    assert code == 0
+    monkeypatch.setattr(cli, "product_splitting", _broken_splitting)
+    code, text = run_main(args, tmp_path, "broken.json")
+    assert code == 1
+    names = [r["name"] for r in json.loads(text)["records"]]
+    assert [r["name"] for r in _fail_records(text)] == ["extensions suite"]
+    clean_names = [r["name"] for r in json.loads(clean)["records"]]
+    # the extensions suite stops at the fault, every other record is kept
+    cut = clean_names.index("obstruction blocks merged section")
+    resume = clean_names.index("derivations at X=0 Y=0")
+    assert names == clean_names[:cut] + ["extensions suite"] + clean_names[resume:]
+
+
+@pytest.mark.parametrize("args, code", [
+    (["relations", "--system", "G2"], 2),
+    (["derivations", "--input", "/does/not/exist.txt"], 2),
+    (["derivations", "--input", "OFF_VARIETY"], 2),
+    (["symbols", "--prime", "4"], 2),
+    (["units", "--system", "G2"], 0),
+    (["relations", "--prime", "4"], 0),
+])
+def test_exit_codes(tmp_path, args, code):
+    problem = tmp_path / "off.txt"
+    problem.write_text("base rational\nvars X Y\nrel X^3 - Y^2\npoint X=1 Y=2\n")
+    args = [str(problem) if a == "OFF_VARIETY" else a for a in args]
+    assert cli.main(args + ["--samples", "3", "--output", str(tmp_path / "out")]) == code
 
 
 def test_default_units_run_checks_a_non_unit(tmp_path, monkeypatch):

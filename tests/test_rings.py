@@ -116,6 +116,19 @@ def test_trunc_serialization_roundtrip():
         A.parse("e^3")
 
 
+def test_trunc_parse_replays_cli_samples():
+    # the CLI's FAIL records print samples with str(); parse must read them back
+    rng = random.Random(11)
+    for d in range(2, 7):
+        A = TruncAlgebra(d)
+        for _ in range(20):
+            x = A.element([Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)])
+            assert A.parse(str(x)) == x
+    x = TruncAlgebra(3).element([Q(-7, 9), Q(-1, 2), Q(-3)])
+    assert str(x) == "-7/9 + -1/2*e + -3*e^2"
+    assert TruncAlgebra(3).parse(str(x)) == x
+
+
 def test_trunc_matrix_singular_determinant_is_eps():
     A = TruncAlgebra(2)
     e = A.eps()
