@@ -1,9 +1,10 @@
 """Matrix Chevalley groups: SL_{l+1} for A_l and Sp_4 for C2.
 
-Each root alpha gets a nilpotent matrix X_alpha with X_alpha^2 = 0, and the
-root subgroup element e(alpha, t) = I + t*X_alpha over any commutative ring
-the parameter t lives in.  On top of that sit the monomial and diagonal
-elements
+Each root alpha gets a nilpotent matrix X_alpha with X_alpha^2 = 0, kept as
+the table of its nonzero entries, and the root subgroup element
+e(alpha, t) = I + t*X_alpha over any commutative ring the parameter t lives
+in.  Every other element here is a word in root elements, which
+ChevalleyModel.word multiplies out: the monomial and diagonal elements
 
     w(alpha, u) = e(alpha, u) e(-alpha, -1/u) e(alpha, u)
     h(alpha, u) = w(alpha, u) w(alpha, -1)
@@ -42,6 +43,32 @@ from .rootsys import Root, RootSystem, RootString, enumerate_roots, root_string
 _DATA_DIR = Path(__file__).parent / "data"
 
 
+# the nonzero entries (i, j, c) of each X_alpha of C2 on the basis
+# (u1, u2, w1, w2), where the symplectic form pairs u_i with w_i
+_C2_LETTERS = {
+    (1, -1): ((0, 1, 1), (3, 2, -1)),
+    (-1, 1): ((1, 0, 1), (2, 3, -1)),
+    (1, 1): ((0, 3, 1), (1, 2, 1)),
+    (-1, -1): ((2, 1, 1), (3, 0, 1)),
+    (2, 0): ((0, 2, 1),),
+    (-2, 0): ((2, 0, 1),),
+    (0, 2): ((1, 3, 1),),
+    (0, -2): ((3, 1, 1),),
+}
+
+
+def w_letters(alpha: Root, u):
+    """The letters of w(alpha, u) = e(alpha, u) e(-alpha, -1/u) e(alpha, u); u a unit."""
+    u = as_ring_element(u)
+    return ((alpha, u), (-alpha, -ring_inv(u)), (alpha, u))
+
+
+def h_letters(alpha: Root, u):
+    """The letters of h(alpha, u) = w(alpha, u) w(alpha, -1)."""
+    u = as_ring_element(u)
+    return w_letters(alpha, u) + w_letters(alpha, -one_like(u))
+
+
 class ModelInconsistencyError(ArithmeticError):
     """Raised when commutator constants cannot be determined consistently."""
 
@@ -58,12 +85,13 @@ class ChevalleyModel:
         if system.family == "A":
             self.n = system.rank + 1
             self.lie_dim = self.n * self.n - 1
-            self._nilpotents = self._build_a_family()
+            self._letters = {r: ((r.coords.index(1), r.coords.index(-1), 1),)
+                             for r in system.roots}
             self.omega = None
         else:
             self.n = 4
             self.lie_dim = 10
-            self._nilpotents = self._build_c2()
+            self._letters = {Root(coords): entries for coords, entries in _C2_LETTERS.items()}
             self.omega = Matrix.from_rows([
                 [0, 0, 1, 0],
                 [0, 0, 0, 1],
@@ -71,46 +99,10 @@ class ChevalleyModel:
                 [0, -1, 0, 0],
             ])
         self._validate()
-        # the nonzero entries (i, j, c) of each X_alpha, for row and column
-        # operations; _validate keeps X_alpha off-diagonal, so entry (i, j)
-        # of e(alpha, t) is c*t
-        self._letters = {
-            r: tuple((i, j, x.entry(i, j)) for i in range(self.n)
-                     for j in range(self.n) if x.entry(i, j) != 0)
-            for r, x in self._nilpotents.items()}
-
-    # -- construction ---------------------------------------------------------
-
-    def _build_a_family(self):
-        out = {}
-        n = self.n
-        for r in self.system.roots:
-            i = r.coords.index(1)
-            j = r.coords.index(-1)
-            rows = [[1 if (a == i and b == j) else 0 for b in range(n)] for a in range(n)]
-            out[r] = Matrix.from_rows(rows)
-        return out
-
-    def _build_c2(self):
-        def unit(i, j, n=4):
-            return Matrix.from_rows(
-                [[1 if (a == i and b == j) else 0 for b in range(n)] for a in range(n)])
-
-        # basis (u1, u2, w1, w2); the form pairs u_i with w_i
-        out = {
-            Root((1, -1)): unit(0, 1) - unit(3, 2),
-            Root((-1, 1)): unit(1, 0) - unit(2, 3),
-            Root((1, 1)): unit(0, 3) + unit(1, 2),
-            Root((-1, -1)): unit(3, 0) + unit(2, 1),
-            Root((2, 0)): unit(0, 2),
-            Root((-2, 0)): unit(2, 0),
-            Root((0, 2)): unit(1, 3),
-            Root((0, -2)): unit(3, 1),
-        }
-        return out
 
     def _validate(self):
-        for r, x in self._nilpotents.items():
+        for r in self.system.roots:
+            x = self.nilpotent(r)
             if not (x * x).is_zero_matrix():
                 raise ModelInconsistencyError("X for %r does not square to zero" % (r,))
             if not self.in_lie_algebra(x):
@@ -120,11 +112,18 @@ class ChevalleyModel:
 
     # -- basic elements --------------------------------------------------------
 
-    def nilpotent(self, alpha: Root) -> Matrix:
+    def _entries(self, alpha: Root):
+        """The nonzero entries (i, j, c) of X_alpha, off the diagonal."""
         try:
-            return self._nilpotents[alpha]
+            return self._letters[alpha]
         except KeyError:
             raise ValueError("%r is not a root of %s" % (alpha, self.system.kind)) from None
+
+    def nilpotent(self, alpha: Root) -> Matrix:
+        entries = [Fraction(0)] * (self.n * self.n)
+        for i, j, c in self._entries(alpha):
+            entries[i * self.n + j] = Fraction(c)
+        return Matrix(self.n, self.n, tuple(entries))
 
     def identity(self, like=None) -> "GroupElement":
         return GroupElement(self, Matrix.identity(self.n, like=like))
@@ -132,26 +131,31 @@ class ChevalleyModel:
     def e(self, alpha: Root, t) -> "GroupElement":
         """Root subgroup element I + t*X_alpha, tagged with its letter (alpha, t)."""
         t = as_ring_element(t)
-        self.nilpotent(alpha)
         n = self.n
         one = one_like(t)
         zero = zero_like(t)
         entries = [one if i == j else zero for i in range(n) for j in range(n)]
-        for i, j, c in self._letters[alpha]:
+        for i, j, c in self._entries(alpha):
             entries[i * n + j] += t if c == 1 else t * scalar_into(c, t)
         return GroupElement(self, Matrix(n, n, tuple(entries)), (alpha, t))
 
+    def word(self, letters, like=None) -> "GroupElement":
+        """The product e(alpha_1, t_1) ... e(alpha_k, t_k) of the letters
+        (alpha, t), each factor applied by row or column operations; the
+        identity over ``like`` when there are no letters."""
+        g = None
+        for alpha, t in letters:
+            x = self.e(alpha, t)
+            g = x if g is None else g * x
+        return self.identity(like=like) if g is None else g
+
     def w(self, alpha: Root, u) -> "GroupElement":
         """Monomial element; u must be a unit of its ring."""
-        u = as_ring_element(u)
-        uinv = ring_inv(u)
-        return self.e(alpha, u) * self.e(-alpha, -uinv) * self.e(alpha, u)
+        return self.word(w_letters(alpha, u))
 
     def h(self, alpha: Root, u) -> "GroupElement":
         """Diagonal (torus) element w(alpha, u) w(alpha, -1)."""
-        u = as_ring_element(u)
-        minus_one = -one_like(u)
-        return self.w(alpha, u) * self.w(alpha, minus_one)
+        return self.word(h_letters(alpha, u))
 
     # -- membership -------------------------------------------------------------
 
@@ -353,14 +357,11 @@ class CommutatorCheck:
     used: tuple  # of (i, j, N)
 
 
-def commutator_rhs(model: ChevalleyModel, string: RootString, s, t,
-                   constants: StructureConstants) -> GroupElement:
-    g = model.identity(like=one_like(as_ring_element(s)))
-    for i, j, gamma in string.terms:
-        n = constants.get(string.alpha, string.beta, i, j)
-        coeff = scalar_into(n, as_ring_element(s))
-        g = g * model.e(gamma, coeff * (s ** i) * (t ** j))
-    return g
+def _formula_letters(string: RootString, s, t, constants):
+    """The letters (i*alpha + j*beta, N_ij s^i t^j) of the commutator
+    formula's right side, the N_ij taken in order from ``constants``."""
+    return [(gamma, scalar_into(n, s) * (s ** i) * (t ** j))
+            for (i, j, gamma), n in zip(string.terms, constants)]
 
 
 def verify_commutator(model: ChevalleyModel, alpha: Root, beta: Root, s, t,
@@ -369,10 +370,10 @@ def verify_commutator(model: ChevalleyModel, alpha: Root, beta: Root, s, t,
     s = as_ring_element(s)
     t = as_ring_element(t)
     string = root_string(model.system, alpha, beta)
-    lhs = (model.e(alpha, s) * model.e(beta, t)
-           * model.e(alpha, -s) * model.e(beta, -t))
-    rhs = commutator_rhs(model, string, s, t, constants)
+    lhs = model.e(alpha, s).commutator(model.e(beta, t))
     used = tuple((i, j, constants.get(alpha, beta, i, j)) for i, j, _ in string.terms)
+    rhs = model.word(_formula_letters(string, s, t, [n for _, _, n in used]),
+                     like=one_like(s))
     return CommutatorCheck(alpha=alpha, beta=beta, ok=(lhs.matrix == rhs.matrix),
                            lhs=lhs.matrix, rhs=rhs.matrix, used=used)
 
@@ -406,8 +407,7 @@ def infer_structure_constants(model: ChevalleyModel,
     table = {}
     for alpha, beta in ordered_root_pairs(model.system):
         string = root_string(model.system, alpha, beta)
-        lhs = (model.e(alpha, s) * model.e(beta, t)
-               * model.e(alpha, -s) * model.e(beta, -t)).matrix
+        lhs = model.e(alpha, s).commutator(model.e(beta, t)).matrix
         if not string.terms:
             if not lhs.is_identity():
                 raise ModelInconsistencyError(
@@ -416,10 +416,7 @@ def infer_structure_constants(model: ChevalleyModel,
             continue
         matches = []
         for cand in itertools.product(_CANDIDATE_CONSTANTS, repeat=len(string.terms)):
-            g = model.identity(like=one_like(s))
-            for (i, j, gamma), n in zip(string.terms, cand):
-                g = g * model.e(gamma, scalar_into(n, s) * (s ** i) * (t ** j))
-            if g.matrix == lhs:
+            if model.word(_formula_letters(string, s, t, cand)).matrix == lhs:
                 matches.append(cand)
         if len(matches) != 1:
             raise ModelInconsistencyError(
@@ -504,17 +501,16 @@ def congruence_dimension(model: ChevalleyModel, d: int) -> FiltrationReport:
     algebra = TruncAlgebra(d)
     per_level = []
     for s in range(1, d):
+        eps = algebra.eps(s)
+        words = ([("e", alpha, ((alpha, eps),)) for alpha in model.system.roots]
+                 + [("h", alpha, h_letters(alpha, algebra.one() + eps))
+                    for alpha in model.system.simple])
         vectors = []
-        for alpha in model.system.roots:
-            piece = graded_piece(model.e(alpha, algebra.eps(s)), s)
+        for name, alpha, letters in words:
+            piece = graded_piece(model.word(letters), s)
             if not model.in_lie_algebra(piece):
-                raise ModelInconsistencyError("piece of e(%r) leaves the Lie algebra" % (alpha,))
-            vectors.append(piece.entries)
-        for alpha in model.system.simple:
-            g = model.h(alpha, algebra.one() + algebra.eps(s))
-            piece = graded_piece(g, s)
-            if not model.in_lie_algebra(piece):
-                raise ModelInconsistencyError("piece of h(%r) leaves the Lie algebra" % (alpha,))
+                raise ModelInconsistencyError(
+                    "piece of %s(%r) leaves the Lie algebra" % (name, alpha))
             vectors.append(piece.entries)
         m = Matrix.from_rows(vectors)
         _, rank, _ = rref(m)

@@ -229,8 +229,11 @@ def run_symbols(report: Report, cfg, rng):
     relations = check_symbol_relations(cfg.symbol, names, cfg.samples, cfg.seed)
     derived = derived_symbol_identities(cfg.symbol, cfg.samples, cfg.seed)
     for kind, rec in [("relation", r) for r in relations] + [("derived", r) for r in derived]:
+        # a failure is (name, *witness); its witness replays as the sample
+        witness = {"sample": rec.failures[0][1:]} if rec.failures else {}
         report.add("tame symbol p=%d %s %s" % (cfg.prime, kind, rec.name), rec.ok,
-                   checked=rec.checked, failures=[str(f) for f in rec.failures[:3]])
+                   checked=rec.checked, failures=[str(f) for f in rec.failures[:3]],
+                   **witness)
 
 
 def _inverse_refused(x) -> bool:
@@ -293,9 +296,7 @@ def run_filtration(report: Report, cfg, rng):
     algebra = TruncAlgebra(cfg.trunc)
 
     def splits(*letters):
-        g = model.identity(like=algebra.one())
-        for alpha, t in letters:
-            g = g * model.e(alpha, t)
+        g = model.word(letters)
         g0, c = levi_decompose(g)
         embedded = Matrix(g0.matrix.nrows, g0.matrix.ncols,
                           tuple(algebra.element([x]) for x in g0.matrix.entries))
@@ -387,9 +388,6 @@ def run_extensions(report: Report, cfg, rng):
 
 def run_derivations(report: Report, cfg, rng):
     algebra, points = cfg.problem
-    if not points:
-        report.add("problem has points", False)
-        return
     for point in points:
         rep = der_dim(algebra, point, mode="relative")
         pname = " ".join("%s=%s" % (k, point[k]) for k in sorted(point)) or "the base point"
@@ -472,6 +470,8 @@ def load_inputs(cfg, suites) -> None:
     if "derivations" in suites:
         text = Path(cfg.input).read_text() if cfg.input else DEFAULT_PROBLEM
         algebra, points = parse_problem(text)
+        if not points:
+            raise ValueError("the problem has no point line")
         for point in points:
             algebra.check_point(point)
         cfg.problem = (algebra, points)
@@ -484,8 +484,8 @@ def main(argv=None) -> int:
         parser.error("--trunc must be at least 2")
     if cfg.samples < 1:
         parser.error("--samples must be positive")
-    if cfg.suite == "all" and cfg.input:
-        parser.error("--input only applies to a single suite")
+    if cfg.input and cfg.suite not in ("extensions", "derivations"):
+        parser.error("--input only applies to the extensions and derivations suites")
 
     suites = list(SUITE_RUNNERS) if cfg.suite == "all" else [cfg.suite]
     try:

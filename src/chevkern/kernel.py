@@ -286,16 +286,7 @@ class NumberFieldElement:
         return self * other.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return ring_pow(self, n)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -446,16 +437,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise NotAUnitError("negative powers of polynomials are not defined")
-        result = MultiPoly.constant(1, self.variables)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return ring_pow(self, n)
 
     # -- structure -----------------------------------------------------------
 
@@ -674,6 +656,19 @@ def is_zero(x) -> bool:
 def ring_inv(x):
     """Multiplicative inverse in the element's own domain, or NotAUnitError."""
     return ring_of(x).inv(x)
+
+
+def ring_pow(x, n: int):
+    """x**n by repeated squaring; a negative n inverts x through ring_inv first."""
+    if n < 0:
+        x, n = ring_inv(x), -n
+    result = one_like(x)
+    while n:
+        if n & 1:
+            result = result * x
+        x = x * x
+        n >>= 1
+    return result
 
 
 def as_ring_element(x):

@@ -21,6 +21,7 @@ from .kernel import (
     is_zero,
     parse_polynomial,
     poly_eval,
+    ring_pow,
 )
 
 
@@ -189,16 +190,7 @@ class TruncElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return ring_pow(self, n)
 
     def __truediv__(self, other):
         other = self._lift(other)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chevalley import ChevalleyModel, GroupElement
-from .kernel import as_ring_element, is_zero, one_like, ring_inv
+from .chevalley import ChevalleyModel, GroupElement, h_letters, w_letters
+from .kernel import as_ring_element, is_zero, one_like
 from .rootsys import Root
 
 
@@ -81,19 +81,9 @@ def _reduce_letters(letters):
     return tuple(stack)
 
 
-def w_letters(alpha: Root, u):
-    u = as_ring_element(u)
-    return ((alpha, u), (-alpha, -ring_inv(u)), (alpha, u))
-
-
 def w_word(alpha: Root, u) -> SteinbergWord:
     """w(alpha, u) = x(alpha, u) x(-alpha, -1/u) x(alpha, u); u a unit."""
     return SteinbergWord(w_letters(alpha, u))
-
-
-def h_letters(alpha: Root, u):
-    u = as_ring_element(u)
-    return w_letters(alpha, u) + w_letters(alpha, -one_like(u))
 
 
 def h_word(alpha: Root, u) -> SteinbergWord:
@@ -117,12 +107,7 @@ def symbol_word(alpha: Root, u, v) -> SteinbergWord:
 
 def word_eval(word: SteinbergWord, model: ChevalleyModel, like=None) -> GroupElement:
     """Multiply out the word in the given matrix model."""
-    if not word.letters:
-        return model.identity(like=like)
-    g = model.identity(like=one_like(word.letters[0][1]))
-    for alpha, t in word.letters:
-        g = g * model.e(alpha, t)
-    return g
+    return model.word(word.letters, like=like)
 
 
 @dataclass

@@ -22,6 +22,7 @@ from chevkern.chevalley import (
 from chevkern.kernel import MultiPoly, PolyDomain
 from chevkern.rings import TruncAlgebra, TruncElement
 from chevkern.rootsys import Root
+from chevkern.steinberg import symbol_is_central_kernel
 
 
 def _generic_trunc(d):
@@ -132,6 +133,82 @@ def test_root_element_mixed_models_and_domains():
         assert all(isinstance(x, TruncElement) for x in prod.matrix.entries)
     g0, c = levi_decompose(g * e)
     assert g0 * c == g * e
+
+
+# the dense X_alpha of C2 as first written out by hand, on the basis
+# (u1, u2, w1, w2) where the form pairs u_i with w_i
+_C2_DENSE = {
+    (1, -1): [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 0]],
+    (-1, 1): [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 0]],
+    (1, 1): [[0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    (-1, -1): [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+    (2, 0): [[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    (-2, 0): [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]],
+    (0, 2): [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]],
+    (0, -2): [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]],
+}
+
+
+def test_c2_letter_table_gives_the_dense_nilpotents():
+    m = build_model("C2")
+    assert sorted(r.coords for r in m.system.roots) == sorted(_C2_DENSE)
+    for coords, rows in _C2_DENSE.items():
+        assert m.nilpotent(Root(coords)) == Matrix.from_rows(rows)
+    for bad in (lambda: m.nilpotent(Root((1, 0))), lambda: m.e(Root((1, 0)), Q(1))):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def _word_params(ring, rng):
+    """A draw of one parameter over Q, Q[e]/(e^3) or Q[s, t]."""
+    def rat():
+        return Q(rng.randint(-9, 9), rng.randint(1, 9))
+
+    if ring == "Q":
+        return rat()
+    if ring == "trunc3":
+        return TruncAlgebra(3).element([rat() for _ in range(3)])
+    s, t = MultiPoly.variables_in("s", "t")
+    return rat() + rat() * s + rat() * t + rat() * s * t
+
+
+@pytest.mark.parametrize("ring", ["Q", "trunc3", "poly"])
+@pytest.mark.parametrize("kind", ["A2", "A3", "C2"])
+def test_word_matches_dense_product(kind, ring):
+    m = build_model(kind)
+    rng = random.Random(41)
+    for length in range(7):
+        letters = [(rng.choice(m.system.roots), _word_params(ring, rng))
+                   for _ in range(length)]
+        like = _word_params(ring, rng)
+        dense = Matrix.identity(m.n, like=like)
+        for alpha, t in letters:
+            dense = dense * (Matrix.identity(m.n, like=t) + m.nilpotent(alpha) * t)
+        assert m.word(letters, like=like).matrix == dense
+
+
+@pytest.mark.parametrize("kind", ["A2", "C2"])
+def test_word_path_makes_no_dense_product(kind):
+    trace = pytest.importorskip("chevbench.trace")
+    m = build_model(kind)
+    constants = load_structure_constants(kind)
+    algebra = TruncAlgebra(3)
+    u, v = algebra.element([2, 1, -1]), algebra.element([Q(1, 3), 0, 5])
+    alpha, beta = m.system.roots[0], m.system.roots[1]
+    calls = {}
+    for name, run in (("h", lambda: m.h(alpha, u)),
+                      ("w", lambda: m.w(alpha, u)),
+                      ("symbol", lambda: symbol_is_central_kernel(m, alpha, u, v)),
+                      ("commutator", lambda: verify_commutator(m, alpha, beta, u, v, constants))):
+        tracer = trace.Tracer(hot=False)
+        tracer.install()
+        try:
+            run()
+        finally:
+            tracer.uninstall()
+        assert tracer.calls["chevalley.root_element"] > 0
+        calls[name] = tracer.calls["kernel.matmul"]
+    assert calls == {"h": 0, "w": 0, "symbol": 0, "commutator": 0}
 
 
 def test_w_and_h_block_forms():

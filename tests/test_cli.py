@@ -9,6 +9,7 @@ import pytest
 
 from chevkern import cli
 from chevkern.rings import TruncAlgebra, TruncElement
+from chevkern.steinberg import TameSymbol
 
 
 def run_main(args, tmp_path, name="out.json"):
@@ -245,6 +246,31 @@ def test_symbols_check_that_raises_is_a_fail_record(tmp_path, monkeypatch):
                and len(r["detail"]["sample"]) == 2 for r in failed)
 
 
+def test_tame_symbol_fail_record_replays_its_sample(tmp_path, monkeypatch):
+    original = TameSymbol.__call__
+
+    def doubled(symbol, x, y):  # a fault that only a negative y exposes
+        value = original(symbol, x, y)
+        return value * 2 % symbol.p if Fraction(y) < 0 else value
+
+    monkeypatch.setattr(TameSymbol, "__call__", doubled)
+    code, text = run_main(["symbols", "--system", "A2", "--format", "json"], tmp_path)
+    assert code == 1
+    records = [r for r in json.loads(text)["records"] if r["name"].startswith("tame symbol")]
+    assert all(("sample" in r["detail"]) == (r["status"] == "FAIL") for r in records)
+    failed = {r["name"]: r["detail"]["sample"] for r in records if r["status"] == "FAIL"}
+    replays = {
+        "tame symbol p=5 relation multiplicative":
+            lambda s, x, y, z: s(x, y * z) == s(x, y) * s(x, z) % s.p,
+        "tame symbol p=5 derived left_one": lambda s, x: s(Fraction(1), x) == 1,
+    }
+    symbol = TameSymbol(5)
+    for name, replay in replays.items():
+        args = [Fraction(a) for a in failed[name]]
+        assert [str(a) for a in args] == failed[name]
+        assert replay(symbol, *args) is False  # the fault is still there
+
+
 def test_units_fault_sample_replays(tmp_path, monkeypatch):
     original = TruncElement.inverse
 
@@ -341,12 +367,24 @@ def test_all_keeps_every_other_suite_after_a_fault(tmp_path, monkeypatch):
     (["symbols", "--prime", "4"], 2),
     (["units", "--system", "G2"], 0),
     (["relations", "--prime", "4"], 0),
+    (["derivations", "--input", "NO_POINTS"], 2),
+    # --input given to a suite that never reads it is a usage error
+    (["relations", "--input", "/does/not/exist"], 2),
+    (["symbols", "--input", "/does/not/exist"], 2),
+    (["units", "--input", "/does/not/exist"], 2),
+    (["filtration", "--input", "/does/not/exist"], 2),
 ])
 def test_exit_codes(tmp_path, args, code):
-    problem = tmp_path / "off.txt"
-    problem.write_text("base rational\nvars X Y\nrel X^3 - Y^2\npoint X=1 Y=2\n")
-    args = [str(problem) if a == "OFF_VARIETY" else a for a in args]
-    assert cli.main(args + ["--samples", "3", "--output", str(tmp_path / "out")]) == code
+    problems = {"OFF_VARIETY": "point X=1 Y=2\n", "NO_POINTS": ""}
+    for name, points in problems.items():
+        problem = tmp_path / name
+        problem.write_text("base rational\nvars X Y\nrel X^3 - Y^2\n" + points)
+        args = [str(problem) if a == name else a for a in args]
+    try:
+        got = cli.main(args + ["--samples", "3", "--output", str(tmp_path / "out")])
+    except SystemExit as exc:  # argparse's usage errors
+        got = exc.code
+    assert got == code
 
 
 def test_default_units_run_checks_a_non_unit(tmp_path, monkeypatch):

@@ -314,6 +314,11 @@ def test_poly_not_a_unit():
     X = MultiPoly.variable("X")
     with pytest.raises(NotAUnitError):
         X ** -1
+    # a nonzero constant is a unit of Q[X]
+    two = MultiPoly.constant(2, ("X",))
+    assert two ** -3 == MultiPoly.constant(Q(1, 8), ("X",))
+    with pytest.raises(NotAUnitError):
+        MultiPoly.constant(0, ("X",)) ** -1
 
 
 def test_parse_polynomial_rejects_bad_syntax():
