@@ -82,6 +82,7 @@ class ChevalleyModel:
 
     def __init__(self, system: RootSystem):
         self.system = system
+        self._strings = {}
         if system.family == "A":
             self.n = system.rank + 1
             self.lie_dim = self.n * self.n - 1
@@ -118,6 +119,14 @@ class ChevalleyModel:
             return self._letters[alpha]
         except KeyError:
             raise ValueError("%r is not a root of %s" % (alpha, self.system.kind)) from None
+
+    def string(self, alpha: Root, beta: Root) -> RootString:
+        """The root string of (alpha, beta), computed once per pair."""
+        try:
+            return self._strings[alpha, beta]
+        except KeyError:
+            string = self._strings[alpha, beta] = root_string(self.system, alpha, beta)
+            return string
 
     def nilpotent(self, alpha: Root) -> Matrix:
         entries = [Fraction(0)] * (self.n * self.n)
@@ -369,7 +378,7 @@ def verify_commutator(model: ChevalleyModel, alpha: Root, beta: Root, s, t,
     """Check [e(alpha,s), e(beta,t)] against the recorded constants."""
     s = as_ring_element(s)
     t = as_ring_element(t)
-    string = root_string(model.system, alpha, beta)
+    string = model.string(alpha, beta)
     lhs = model.e(alpha, s).commutator(model.e(beta, t))
     used = tuple((i, j, constants.get(alpha, beta, i, j)) for i, j, _ in string.terms)
     rhs = model.word(_formula_letters(string, s, t, [n for _, _, n in used]),
@@ -406,7 +415,7 @@ def infer_structure_constants(model: ChevalleyModel,
         t = ring.generic("t")
     table = {}
     for alpha, beta in ordered_root_pairs(model.system):
-        string = root_string(model.system, alpha, beta)
+        string = model.string(alpha, beta)
         lhs = model.e(alpha, s).commutator(model.e(beta, t)).matrix
         if not string.terms:
             if not lhs.is_identity():
@@ -431,17 +440,19 @@ def infer_structure_constants(model: ChevalleyModel,
 # congruence filtration
 
 def levi_decompose(g: GroupElement):
-    """Split g over K[e]/(e^d) as g = g0 * c with g0 over K and c = I mod e."""
+    """Split g over K[e]/(e^d) as g = g0 * c with g0 over K and c = I mod e.
+
+    g0 is inverted over K and the inverse embedded in K[e]/(e^d).
+    """
     sample = g.matrix.entries[0]
     if not isinstance(sample, TruncElement):
         raise ValueError("decomposition applies to elements over a truncated ring")
     algebra = sample.algebra
-    base_matrix = Matrix(g.matrix.nrows, g.matrix.ncols,
-                         tuple(x.coeff(0) for x in g.matrix.entries))
+    n = g.matrix.nrows
+    base_matrix = Matrix(n, n, tuple(x.coeff(0) for x in g.matrix.entries))
     g0 = GroupElement(g.model, base_matrix)
-    embedded = Matrix(g.matrix.nrows, g.matrix.ncols,
-                      tuple(algebra.element([x.coeff(0)]) for x in g.matrix.entries))
-    c = GroupElement(g.model, embedded.inv() * g.matrix)
+    g0_inv = Matrix(n, n, tuple(algebra.element([x]) for x in base_matrix.inv().entries))
+    c = GroupElement(g.model, g0_inv * g.matrix)
     return g0, c
 
 
@@ -539,7 +550,8 @@ def perfectness_witness(model: ChevalleyModel, alpha: Root, r, s=Fraction(2)) ->
 
     Works whenever s^2 - 1 is a unit; the default s = 2 divides by 3.  The
     identity holds because conjugation by h(alpha, s) scales the root
-    parameter by s^2.
+    parameter by s^2.  The commutator is multiplied out as one word, h's
+    letters reversed and negated for its inverse.
     """
     r = as_ring_element(r)
     s = Fraction(s)
@@ -547,9 +559,12 @@ def perfectness_witness(model: ChevalleyModel, alpha: Root, r, s=Fraction(2)) ->
     if s == 0 or denom == 0:
         raise ValueError("scaling unit s must satisfy s != 0 and s^2 != 1")
     inner_param = r * scalar_into(Fraction(1) / denom, r)
-    torus = model.h(alpha, scalar_into(s, r))
+    torus_letters = h_letters(alpha, scalar_into(s, r))
+    torus = model.word(torus_letters)
     inner = model.e(alpha, inner_param)
     target = model.e(alpha, r)
-    got = torus.commutator(inner)
+    got = model.word(torus_letters + ((alpha, inner_param),)
+                     + tuple((beta, -u) for beta, u in reversed(torus_letters))
+                     + ((alpha, -inner_param),))
     return PerfectnessWitness(alpha=alpha, s=s, torus=torus, inner=inner,
                               target=target, ok=(got.matrix == target.matrix))

@@ -15,6 +15,7 @@ Three layers:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -369,36 +370,44 @@ def product_splitting(ext: CocycleExtension, phi1: Callable, phi2: Callable,
     commute downstairs.  If it vanishes on all samples the combined map
     (a, b) -> phi1(a) phi2(b) is verified multiplicative; otherwise psi is
     returned with a witness, and its additivity in b is verified.
+
+    phi1 and phi2 must be functions: each lift, each merged section value
+    phi1(a) phi2(b) and each psi(a, b) is computed once per distinct argument
+    and reused, so samples and their products must be hashable.
     """
     mul = ext.ops.mul
+    lift1, lift2 = functools.cache(phi1), functools.cache(phi2)
     phi_checked = 0
-    for phi, samples in ((phi1, samples1), (phi2, samples2)):
+    for lift, samples in ((lift1, samples1), (lift2, samples2)):
         for a in samples:
             for b in samples:
-                if phi(a) * phi(b) != phi(mul(a, b)):
+                if lift(a) * lift(b) != lift(mul(a, b)):
                     raise ValueError("section is not a homomorphism at %r" % ((a, b),))
                 phi_checked += 1
 
-    psi_values = {}
+    psi = functools.cache(lambda a, b: lift1(a).commutator(lift2(b)))
     psi_checked = 0
     witness = None
     for a in samples1:
         for b in samples2:
-            comm = phi1(a).commutator(phi2(b))
+            comm = psi(a, b)
             if comm.g != ext.ops.identity:
                 raise ValueError("factors do not commute downstairs at %r" % ((a, b),))
-            psi_values[(a, b)] = comm.z
             psi_checked += 1
             if witness is None and any(v != 0 for v in comm.z):
                 witness = (a, b, comm.z)
 
     if witness is None:
+        # indexed by sample position: merged[i][j] = phi1(a_i) phi2(b_j)
+        merged = [[lift1(a) * lift2(b) for b in samples2] for a in samples1]
+        products1 = [[mul(a1, a2) for a2 in samples1] for a1 in samples1]
+        products2 = [[mul(b1, b2) for b2 in samples2] for b1 in samples2]
+        target = functools.cache(lambda a, b: lift1(a) * lift2(b))
         section_checked = 0
-        for a1, a2 in itertools.product(samples1, repeat=2):
-            for b1, b2 in itertools.product(samples2, repeat=2):
-                s1 = phi1(a1) * phi2(b1)
-                s2 = phi1(a2) * phi2(b2)
-                if s1 * s2 != phi1(mul(a1, a2)) * phi2(mul(b1, b2)):
+        for (i1, a1), (i2, a2) in itertools.product(enumerate(samples1), repeat=2):
+            for (j1, b1), (j2, b2) in itertools.product(enumerate(samples2), repeat=2):
+                if (merged[i1][j1] * merged[i2][j2]
+                        != target(products1[i1][i2], products2[j1][j2])):
                     raise ValueError("merged section failed at %r" % ((a1, b1, a2, b2),))
                 section_checked += 1
         return ProductSplittingReport(split=True, phi_hom_checked=phi_checked,
@@ -406,13 +415,8 @@ def product_splitting(ext: CocycleExtension, phi1: Callable, phi2: Callable,
                                       section_checked=section_checked)
 
     # non-split: the obstruction must be additive in its second argument
-    additive = True
-    for a in samples1:
-        for b1, b2 in itertools.product(samples2, repeat=2):
-            lhs = phi1(a).commutator(phi2(mul(b1, b2))).z
-            rhs = _tadd(psi_values[(a, b1)], psi_values[(a, b2)])
-            if lhs != rhs:
-                additive = False
+    additive = all(psi(a, mul(b1, b2)).z == _tadd(psi(a, b1).z, psi(a, b2).z)
+                   for a in samples1 for b1, b2 in itertools.product(samples2, repeat=2))
     return ProductSplittingReport(split=False, phi_hom_checked=phi_checked,
                                   psi_checked=psi_checked, witness=witness,
                                   psi_additive_ok=additive)

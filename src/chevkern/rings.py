@@ -3,7 +3,7 @@
 An element is a coefficient vector (x0, ..., x_{d-1}) in a base domain K;
 multiplication is truncated convolution.  Over a field base an element is a
 unit exactly when its constant coefficient x0 is nonzero, and the inverse
-comes from the geometric series of the nilpotent tail.
+comes coefficient by coefficient from x * x^-1 = 1.
 """
 
 from __future__ import annotations
@@ -219,26 +219,24 @@ class TruncElement:
             return False
 
     def inverse(self) -> "TruncElement":
-        """Geometric-series inverse; needs an invertible constant coefficient."""
-        x0 = self.coeffs[0]
+        """Inverse by the recurrence b_0 = 1/x_0,
+        b_k = -(1/x_0) (x_1 b_{k-1} + ... + x_k b_0), about d^2/2 base
+        products; needs an invertible constant coefficient."""
+        x = self.coeffs
         try:
-            inv0 = self.algebra.base.inv(x0)
+            inv0 = self.algebra.base.inv(x[0])
         except NotAUnitError:
             raise NotAUnitError(
                 "constant coefficient %s is not a unit, element %s has no inverse"
-                % (x0, self)) from None
-        # x = x0 (1 + n) with n nilpotent; 1/x = (1 - n + n^2 - ...) / x0
-        pad = (self.algebra.base.zero(),) * (self.algebra.d - 1)
-        inv0_elem = TruncElement(self.algebra, (inv0,) + pad)
-        n = self.tail() * inv0_elem
-        acc = self.algebra.one()
-        power = self.algebra.one()
-        for _ in range(1, self.algebra.d):
-            power = power * (-n)
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc * inv0_elem
+                % (x[0], self)) from None
+        neg_inv0 = -inv0
+        b = [inv0]
+        for k in range(1, self.algebra.d):
+            acc = x[1] * b[k - 1]
+            for i in range(2, k + 1):
+                acc = acc + x[i] * b[k - i]
+            b.append(neg_inv0 * acc)
+        return TruncElement(self.algebra, tuple(b))
 
     def __eq__(self, other):
         other = self._lift(other)

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from chevkern import chevalley
 from chevkern.chevalley import (
     GroupElement,
     LevelError,
@@ -21,7 +22,7 @@ from chevkern.chevalley import (
 )
 from chevkern.kernel import MultiPoly, PolyDomain
 from chevkern.rings import TruncAlgebra, TruncElement
-from chevkern.rootsys import Root
+from chevkern.rootsys import Root, enumerate_roots, root_string
 from chevkern.steinberg import symbol_is_central_kernel
 
 
@@ -199,7 +200,8 @@ def test_word_path_makes_no_dense_product(kind):
     for name, run in (("h", lambda: m.h(alpha, u)),
                       ("w", lambda: m.w(alpha, u)),
                       ("symbol", lambda: symbol_is_central_kernel(m, alpha, u, v)),
-                      ("commutator", lambda: verify_commutator(m, alpha, beta, u, v, constants))):
+                      ("commutator", lambda: verify_commutator(m, alpha, beta, u, v, constants)),
+                      ("perfectness", lambda: perfectness_witness(m, alpha, u))):
         tracer = trace.Tracer(hot=False)
         tracer.install()
         try:
@@ -207,8 +209,9 @@ def test_word_path_makes_no_dense_product(kind):
         finally:
             tracer.uninstall()
         assert tracer.calls["chevalley.root_element"] > 0
-        calls[name] = tracer.calls["kernel.matmul"]
-    assert calls == {"h": 0, "w": 0, "symbol": 0, "commutator": 0}
+        calls[name] = (tracer.calls["kernel.matmul"], tracer.calls["kernel.matinv"])
+    assert calls == {"h": (0, 0), "w": (0, 0), "symbol": (0, 0), "commutator": (0, 0),
+                     "perfectness": (0, 0)}
 
 
 def test_w_and_h_block_forms():
@@ -317,6 +320,46 @@ def test_forged_constants_fail():
     assert not check.ok
 
 
+@pytest.mark.parametrize("kind, count", [("A2", 12), ("A3", 48), ("C2", 24)])
+def test_frozen_constants_obey_chevalley_theorem(kind, count):
+    # |N_{alpha,beta}| = p + 1 with p the largest integer such that
+    # beta - p*alpha is a root (Carter, Simple Groups of Lie Type, Thm 4.1.2);
+    # independent of the candidate sweep that produced the tables
+    system = enumerate_roots(kind)
+    table = load_structure_constants(kind).table
+    ones = {(a, b): n for (a, b, i, j), n in table.items() if (i, j) == (1, 1)}
+    assert set(ones) == {(a.coords, b.coords) for a in system.roots for b in system.roots
+                         if system.contains(a + b)}
+    assert len(ones) == count
+    for (a, b), n in ones.items():
+        alpha, beta = Root(a), Root(b)
+        p = 0
+        while system.contains(beta + alpha.scale(-(p + 1))):
+            p += 1
+        assert abs(n) == p + 1, (a, b, n)
+
+
+def test_model_string_is_root_string_computed_once(monkeypatch):
+    for kind in ("A2", "A3", "C2"):
+        m = build_model(kind)
+        for a, b in ordered_root_pairs(m.system):
+            assert m.string(a, b) == root_string(m.system, a, b)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return root_string(*args)
+
+    monkeypatch.setattr(chevalley, "root_string", counted)
+    m = build_model("C2")
+    constants = load_structure_constants("C2")
+    pairs = ordered_root_pairs(m.system)
+    for _ in range(2):
+        for a, b in pairs:
+            assert verify_commutator(m, a, b, Q(2), Q(-3), constants).ok
+        assert len(calls) == len(pairs)
+
+
 def test_constants_file_roundtrip(tmp_path):
     golden = load_structure_constants("C2")
     p = tmp_path / "c.txt"
@@ -347,6 +390,31 @@ def test_levi_decomposition_random():
             embedded = Matrix(m.n, m.n,
                               tuple(algebra.element([x]) for x in g0.matrix.entries))
             assert (GroupElement(m, embedded) * c).matrix == g.matrix
+
+
+@pytest.mark.parametrize("kind", ["A2", "A3", "C2"])
+def test_levi_inverts_over_the_base_field(kind):
+    trace = pytest.importorskip("chevbench.trace")
+    rng = random.Random(61)
+    m = build_model(kind)
+    for d in (2, 3, 4):
+        algebra = TruncAlgebra(d)
+        for _ in range(4):
+            g = m.word([(rng.choice(m.system.roots),
+                         algebra.element([Q(rng.randint(-3, 3), rng.randint(1, 3))
+                                          for _ in range(d)]))
+                        for _ in range(3)])
+            tracer = trace.Tracer(hot=False)
+            tracer.install()
+            try:
+                _, c = levi_decompose(g)
+            finally:
+                tracer.uninstall()
+            assert tracer.calls["kernel.det"] == 0
+            # reference: the division-free inverse over the truncated ring
+            embedded = Matrix(m.n, m.n,
+                              tuple(algebra.element([x.coeff(0)]) for x in g.matrix.entries))
+            assert c.matrix == embedded.inv() * g.matrix
 
 
 def test_graded_piece_of_root_element():

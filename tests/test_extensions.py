@@ -271,6 +271,16 @@ def test_product_splitting_obstructed():
     assert psi == (a[0] * b[1],) and psi != (0,)
 
 
+def test_product_splitting_non_additive_obstruction():
+    # psi(a, b) = a b^2 is not additive in b
+    ext = CocycleExtension(_pair_group(), lambda x, y: (x[0] * y[1] ** 2,))
+    s1, s2 = _factor_samples()
+    report = product_splitting(ext, ext.element, ext.element, s1, s2)
+    assert not report.split
+    assert report.psi_additive_ok is False
+    assert report.psi_checked == len(s1) * len(s2)
+
+
 def test_product_splitting_merges_sections():
     # symmetric cross terms cancel in the commutator: sections merge
     ext = CocycleExtension(_pair_group(),

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from chevkern.kernel import (
+    QQ,
     DomainMismatchError,
     Matrix,
     MultiPoly,
@@ -58,6 +59,52 @@ def test_trunc_inverse_roundtrip_random():
             x = A.element(coeffs)
             assert x * x.inverse() == A.one()
             assert x.inverse() * x == A.one()
+
+
+def _geometric_inverse(x):
+    """Reference inverse (1 - n + n^2 - ...) / x0 with n = (x - x0) / x0."""
+    A = x.algebra
+    inv0 = A.element([A.base.inv(x.coeff(0))])
+    n = x.tail() * inv0
+    acc = power = A.one()
+    for _ in range(1, A.d):
+        power = power * -n
+        acc = acc + power
+    return acc * inv0
+
+
+def test_trunc_inverse_matches_geometric_series():
+    rng = random.Random(43)
+    K = NumberField("w", (-2, 0, 1))
+    s, t = MultiPoly.variables_in("s", "t")
+
+    def rat():
+        return Q(rng.randint(-5, 5), rng.randint(1, 4))
+
+    def nonzero():
+        return rat() or Q(1)
+
+    # (base, a draw of a coefficient, a draw of a unit of the base)
+    draws = (
+        (QQ, rat, nonzero),
+        (K, lambda: K.element([rat(), rat()]), lambda: K.element([nonzero(), rat()])),
+        (PolyDomain("s", "t"), lambda: rat() + rat() * s + rat() * t * t, nonzero),
+    )
+    for base, draw, unit in draws:
+        for d in range(1, 7):
+            A = TruncAlgebra(d, base=base)
+            for _ in range(6):
+                x = A.element([unit()] + [draw() for _ in range(d - 1)])
+                inv = x.inverse()
+                assert inv == _geometric_inverse(x)
+                assert x * inv == A.one()
+            bad = A.element([base.zero()] + [draw() for _ in range(d - 1)])
+            with pytest.raises(NotAUnitError, match="^constant coefficient 0 is not a unit, "
+                                                    "element .* has no inverse$"):
+                bad.inverse()
+    A = TruncAlgebra(3, base=PolyDomain("s", "t"))
+    with pytest.raises(NotAUnitError, match="^constant coefficient s is not a unit"):
+        A.element([s, 1]).inverse()
 
 
 def test_unit_criterion_exhaustive_small():
