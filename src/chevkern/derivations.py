@@ -274,12 +274,10 @@ def parse_problem(text: str):
         point X=0 Y=0
         point X=1 Y=1
 
-    Point values are expressions in the ring generator, e.g. ``X=w/2``.
+    Point values are expressions in the ring generator, e.g. ``X=w/2``.  A
+    second base, gen or vars line, or a point naming a variable twice, is an error.
     """
-    base_kind = None
-    gen_name = None
-    gen_poly = None
-    variables = None
+    decl = {}  # base, gen, vars -> the rest of their line
     rel_texts = []
     point_texts = []
     for raw in text.splitlines():
@@ -288,25 +286,25 @@ def parse_problem(text: str):
             continue
         head, _, tail = line.partition(" ")
         tail = tail.strip()
-        if head == "base":
-            base_kind = tail
-        elif head == "gen":
-            if ":" not in tail:
-                raise ProblemFormatError("gen line needs 'name : minpoly'")
-            name, poly = (s.strip() for s in tail.split(":", 1))
-            gen_name, gen_poly = name, poly
-        elif head == "vars":
-            variables = tuple(tail.split())
+        if head in decl:
+            raise ProblemFormatError("second %s line %r" % (head, raw))
+        if head in ("base", "gen", "vars"):
+            decl[head] = tail
         elif head == "rel":
             rel_texts.append(tail)
         elif head == "point":
             point_texts.append(tail)
         else:
             raise ProblemFormatError("cannot parse line %r" % raw)
-    if base_kind is None:
+    if "base" not in decl:
         raise ProblemFormatError("missing base declaration")
-    if variables is None:
-        variables = ()
+    base_kind = decl["base"]
+    variables = tuple(decl.get("vars", "").split())
+    gen_name = None
+    if "gen" in decl:
+        if ":" not in decl["gen"]:
+            raise ProblemFormatError("gen line needs 'name : minpoly'")
+        gen_name, gen_poly = (s.strip() for s in decl["gen"].split(":", 1))
 
     if base_kind == "numberring":
         if gen_name is None:
@@ -330,6 +328,8 @@ def parse_problem(text: str):
             if "=" not in token:
                 raise ProblemFormatError("point token %r is not name=value" % token)
             name, expr = token.split("=", 1)
+            if name in point:
+                raise ProblemFormatError("line 'point %s' sets %s twice" % (t, name))
             value_poly = parse_polynomial(
                 expr, variables=(gen_name,) if gen_name else ())
             if value_poly.is_constant():

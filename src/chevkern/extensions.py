@@ -512,12 +512,6 @@ class FinDimAlgebra:
                     out[k] += f * c
         return tuple(out)
 
-    def power(self, x: Sequence, m: int) -> tuple:
-        acc = self.unit
-        for _ in range(m):
-            acc = self.mult(acc, x)
-        return acc
-
     def zero(self) -> tuple:
         return (Fraction(0),) * self.dim
 
@@ -599,37 +593,42 @@ class FinDimAlgebra:
 
     @staticmethod
     def parse(text: str) -> "FinDimAlgebra":
-        dim = None
-        names = None
-        unit = None
-        products = {}
+        fields = {}  # dim, basis, unit -> the tokens after the word
+        products = {}  # (a, b) -> (line, coordinates of a*b)
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.startswith("dim "):
-                dim = int(line.split()[1])
-            elif line.startswith("basis "):
-                names = tuple(line.split()[1:])
-            elif line.startswith("unit "):
-                unit = tuple(Fraction(tok) for tok in line.split()[1:])
+            head, _, tail = line.partition(" ")
+            if head in ("dim", "basis", "unit") and tail:
+                if head in fields:
+                    raise ValueError("second %s line %r" % (head, raw))
+                fields[head] = tail.split()
             elif "=" in line and "*" in line:
                 head, tail = line.split("=", 1)
                 a, b = (s.strip() for s in head.split("*", 1))
-                products[(a, b)] = tuple(Fraction(tok) for tok in tail.split())
+                if (a, b) in products:
+                    raise ValueError("second product line for %s*%s: %r" % (a, b, raw))
+                products[(a, b)] = (raw, tuple(Fraction(tok) for tok in tail.split()))
             else:
                 raise ValueError("cannot parse line %r" % raw)
-        if dim is None or names is None or unit is None:
+        if len(fields) < 3:
             raise ValueError("file must declare dim, basis, and unit")
+        dim = int(fields["dim"][0])
+        names = tuple(fields["basis"])
+        unit = tuple(Fraction(tok) for tok in fields["unit"])
         if len(names) != dim:
             raise ValueError("basis names do not match the declared dimension")
+        for (a, b), (raw, _) in products.items():
+            if a not in names or b not in names:
+                raise ValueError("product line %r names an element outside the basis" % raw)
         tensor = []
         for a in names:
             plane = []
             for b in names:
                 if (a, b) not in products:
                     raise ValueError("missing product line for %s*%s" % (a, b))
-                vec = products[(a, b)]
+                vec = products[(a, b)][1]
                 if len(vec) != dim:
                     raise ValueError("product %s*%s has wrong length" % (a, b))
                 plane.append(vec)

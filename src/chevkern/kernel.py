@@ -204,9 +204,6 @@ class NumberField:
     def is_field(self):
         return True
 
-    def key(self):
-        return ("NF", self.name, self.minpoly)
-
     def generator(self) -> "NumberFieldElement":
         cs = [Fraction(0)] * self.degree
         cs[1 if self.degree > 1 else 0] = Fraction(1)
@@ -620,8 +617,9 @@ def ring_of(x):
     """The ring descriptor of an element: QQ for a rational, ``x.ring`` otherwise.
 
     A descriptor has ``zero()``, ``one()``, ``coerce(c)`` for a rational c,
-    ``inv(x)``, ``is_field()`` and ``key()``.  QQ, PolyDomain, NumberField,
-    TruncAlgebra and SumAlgebra implement it.
+    ``inv(x)`` and ``is_field()``, and is its own identity: two elements
+    share a domain exactly when their descriptors are equal.  QQ, PolyDomain,
+    NumberField, TruncAlgebra and SumAlgebra implement it.
     """
     if isinstance(x, (Fraction, int)):
         return QQ
@@ -632,8 +630,8 @@ def ring_of(x):
 
 
 def domain_key(x):
-    """A comparable tag identifying the exact domain an element lives in."""
-    return ring_of(x).key()
+    """A hashable tag of the exact domain an element lives in: its descriptor."""
+    return ring_of(x)
 
 
 def zero_like(x):
@@ -707,13 +705,12 @@ class Matrix:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
             flat.extend(as_ring_element(x) for x in r)
-        keys = {domain_key(x) for x in flat}
-        if len(keys) == 2 and ("Q",) in keys:
+        rings = {ring_of(x) for x in flat}
+        if len(rings) == 2 and QQ in rings:
             # integer/rational literals lift into the one larger domain present
-            sample = next(x for x in flat if domain_key(x) != ("Q",))
-            flat = [scalar_into(x, sample) if isinstance(x, Fraction) else x
-                    for x in flat]
-        elif len(keys) > 1:
+            ring = next(r for r in rings if r != QQ)
+            flat = [ring.coerce(x) if isinstance(x, Fraction) else x for x in flat]
+        elif len(rings) > 1:
             raise DomainMismatchError("matrix entries live in different domains")
         return Matrix(len(rows), ncols, tuple(flat))
 
@@ -853,40 +850,45 @@ class Matrix:
         """Determinant by memoized cofactor expansion; division-free, any domain."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        zero = zero_like(self.entries[0])
-        memo = {}
+        full = (1 << self.nrows) - 1
+        return self._minor(full, full, {})
 
-        def minor(k, colmask):
-            if k == n:
-                return one_like(self.entries[0])
-            key = colmask
-            got = memo.get((k, key))
-            if got is not None:
-                return got
-            acc = None
-            sign = 1
-            for j in range(n):
-                bit = 1 << j
-                if not (colmask & bit):
-                    continue
-                a = self.entry(k, j)
-                if not is_zero(a):
-                    sub = minor(k + 1, colmask & ~bit)
-                    term = a * sub if sign > 0 else -(a * sub)
-                    acc = term if acc is None else acc + term
-                sign = -sign
-            acc = zero if acc is None else acc
-            memo[(k, key)] = acc
-            return acc
+    def _minor(self, rows, cols, memo):
+        """Determinant of the submatrix on bitmasks ``rows`` and ``cols``.
 
-        return minor(0, (1 << n) - 1)
+        Expands along the first row of ``rows``, columns in order; ``memo``
+        keeps each minor by its masks, for all callers that share it.
+        """
+        if not rows:
+            return one_like(self.entries[0])
+        got = memo.get((rows, cols))
+        if got is not None:
+            return got
+        first = (rows & -rows).bit_length() - 1
+        rest = rows & (rows - 1)
+        acc = None
+        sign = 1
+        for j in range(self.ncols):
+            bit = 1 << j
+            if not (cols & bit):
+                continue
+            a = self.entry(first, j)
+            if not is_zero(a):
+                sub = self._minor(rest, cols & ~bit, memo)
+                term = a * sub if sign > 0 else -(a * sub)
+                acc = term if acc is None else acc + term
+            sign = -sign
+        acc = zero_like(self.entries[0]) if acc is None else acc
+        memo[(rows, cols)] = acc
+        return acc
 
     def inv(self) -> "Matrix":
         """Inverse over the entry domain.
 
-        Fails with SingularMatrixError carrying the determinant when the
-        determinant is not a unit of the domain.
+        Gauss-Jordan over a field; over another ring, the adjugate over the
+        determinant, with the determinant and every cofactor read from one
+        table of minors.  Fails with SingularMatrixError carrying the
+        determinant when the determinant is not a unit of the domain.
         """
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
@@ -900,29 +902,21 @@ class Matrix:
                 raise SingularMatrixError(
                     "determinant %s is not a unit" % (zero,), determinant=zero)
             return Matrix(n, n, tuple(x for row in work for x in row[n:]))
-        d = self.det()
+        full = (1 << n) - 1
+        memo = {}
+        d = self._minor(full, full, memo)
         try:
             dinv = ring_inv(d)
         except NotAUnitError:
             raise SingularMatrixError(
                 "determinant %s is not a unit" % (d,), determinant=d) from None
-        return self._adjugate() * dinv
-
-    def _adjugate(self) -> "Matrix":
-        n = self.nrows
-        if n == 1:
-            return Matrix.identity(1, like=self.entries[0])
-        cof = []
+        # entry (i, j) of the adjugate is the (j, i) cofactor
+        out = []
         for i in range(n):
             for j in range(n):
-                sub = Matrix(n - 1, n - 1, tuple(
-                    self.entry(r, c)
-                    for r in range(n) if r != i
-                    for c in range(n) if c != j))
-                d = sub.det()
-                cof.append(d if (i + j) % 2 == 0 else -d)
-        # adjugate is the transpose of the cofactor matrix
-        return Matrix(n, n, tuple(cof[j * n + i] for i in range(n) for j in range(n)))
+                c = self._minor(full & ~(1 << j), full & ~(1 << i), memo)
+                out.append((c if (i + j) % 2 == 0 else -c) * dinv)
+        return Matrix(n, n, tuple(out))
 
 
 def row_reduce(rows: list, ncols: int) -> list:
@@ -1007,9 +1001,6 @@ class RationalDomain:
     def is_field(self):
         return True
 
-    def key(self):
-        return ("Q",)
-
     def __eq__(self, other):
         return isinstance(other, RationalDomain)
 
@@ -1052,9 +1043,6 @@ class PolyDomain:
 
     def is_field(self):
         return False
-
-    def key(self):
-        return ("QPoly",)
 
     def __eq__(self, other):
         return isinstance(other, PolyDomain)

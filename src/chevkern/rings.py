@@ -56,9 +56,6 @@ class TruncAlgebra:
     def is_field(self):
         return False
 
-    def key(self):
-        return ("Trunc", self.d, self.base.key())
-
     def eps(self, power: int = 1) -> "TruncElement":
         """The nilpotent generator e^power (zero once power reaches d)."""
         if power < 1:
@@ -295,9 +292,6 @@ class SumAlgebra:
 
     def is_field(self):
         return False
-
-    def key(self):
-        return ("Sum", tuple(f.key() for f in self.factors))
 
     def __eq__(self, other):
         return isinstance(other, SumAlgebra) and self.factors == other.factors

@@ -373,9 +373,12 @@ def test_all_keeps_every_other_suite_after_a_fault(tmp_path, monkeypatch):
     (["symbols", "--input", "/does/not/exist"], 2),
     (["units", "--input", "/does/not/exist"], 2),
     (["filtration", "--input", "/does/not/exist"], 2),
+    # a point that sets X twice on the cusp, where X=1 Y=1 alone lies
+    (["derivations", "--input", "TWICE"], 2),
 ])
 def test_exit_codes(tmp_path, args, code):
-    problems = {"OFF_VARIETY": "point X=1 Y=2\n", "NO_POINTS": ""}
+    problems = {"OFF_VARIETY": "point X=1 Y=2\n", "NO_POINTS": "",
+                "TWICE": "point X=5 X=1 Y=1\n"}
     for name, points in problems.items():
         problem = tmp_path / name
         problem.write_text("base rational\nvars X Y\nrel X^3 - Y^2\n" + points)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -213,3 +214,15 @@ def test_parse_problem_errors():
         parse_problem("base rational\nvars X\npoint X:1")
     with pytest.raises(ProblemFormatError):
         parse_problem("base numberring\ngen w : w^2 - 1/2\nvars X")
+
+
+@pytest.mark.parametrize("text, old, new", [
+    (CUSP_FILE, "point X=1 Y=1", "point X=5 X=1 Y=1"),
+    (CUSP_FILE, "base rational", "base rational\nbase integers"),
+    (CUSP_FILE, "vars X Y", "vars X Y\nvars X"),
+    (NUMBER_RING_FILE, "gen w : w^2 - 2", "gen w : w^2 - 2\ngen w : w^2 - 3"),
+])
+def test_parse_problem_rejects_contradictory_declarations(text, old, new):
+    # a repeated declaration is an error naming its line, not an override
+    with pytest.raises(ProblemFormatError, match=re.escape(new.split("\n")[-1])):
+        parse_problem(text.replace(old, new))

@@ -660,3 +660,15 @@ def test_algebra_parse_errors():
     broken = lines[:-1] + [lines[-1] + " 7"]  # wrong vector length
     with pytest.raises(ValueError):
         FinDimAlgebra.parse("\n".join(broken))
+
+
+@pytest.mark.parametrize("extra", [
+    "e*e = 1 0",   # a second product line for e*e
+    "dim 3",       # a second dim line
+    "w*w = 5 5",   # a product of names outside the basis
+])
+def test_algebra_parse_rejects_contradictory_lines(extra):
+    # each is an error naming its line, neither ignored nor an override
+    lines = FinDimAlgebra.truncated(2).to_lines()
+    with pytest.raises(ValueError, match=re.escape(repr(extra))):
+        FinDimAlgebra.parse("\n".join(lines + [extra]))

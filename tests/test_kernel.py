@@ -434,10 +434,114 @@ def test_field_inverse_singular_raises():
             m.inv()
 
 
+# --- det and the inverse over rings that are not fields ------------------------
+
+def _reference_det(rows, one):
+    """Cofactor expansion along the first row, one sub-matrix per cofactor."""
+    if not rows:
+        return one
+    acc = one - one
+    for j, a in enumerate(rows[0]):
+        sub = _reference_det([r[:j] + r[j + 1:] for r in rows[1:]], one)
+        acc = acc + (a * sub if j % 2 == 0 else -(a * sub))
+    return acc
+
+
+def _reference_inverse(rows, one):
+    """The adjugate over the determinant, each cofactor from its own sub-matrix."""
+    n = len(rows)
+    dinv = ring_inv(_reference_det(rows, one))
+
+    def cofactor(i, j):
+        c = _reference_det([r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i], one)
+        return c if (i + j) % 2 == 0 else -c
+
+    return Matrix.from_rows([[cofactor(j, i) * dinv for j in range(n)] for i in range(n)])
+
+
+def _random_element(ring, rng):
+    if isinstance(ring, SumAlgebra):
+        return ring.element([_random_element(f, rng) for f in ring.factors])
+    if isinstance(ring, TruncAlgebra):
+        return ring.element([_random_element(ring.base, rng) for _ in range(ring.d)])
+    if ring == QQ:
+        return Q(rng.randint(-2, 2))
+    if isinstance(ring, NumberField):
+        return ring.element([rng.randint(-2, 2) for _ in range(ring.degree)])
+    return ring.coerce(rng.randint(-2, 2)) + MultiPoly.variable(
+        rng.choice(ring.variables)) * rng.randint(-1, 1)
+
+
+def _ring_cases():
+    """(ring, a non-unit of it), over rings whose inverse takes the adjugate."""
+    st = PolyDomain("s", "t")
+    s, _ = MultiPoly.variables_in("s", "t")
+    r2 = TruncAlgebra(2, NumberField("r", (-2, 0, 1)))
+    F = TruncAlgebra(2)
+    S = SumAlgebra([F, TruncAlgebra(3), TruncAlgebra(1)])
+    return [pytest.param(TruncAlgebra(d), TruncAlgebra(d).eps() if d > 1 else Q(0),
+                         id="Q[e]/(e^%d)" % d) for d in range(1, 5)] + [
+        pytest.param(st, s, id="Q[s,t]"),
+        pytest.param(TruncAlgebra(2, st), TruncAlgebra(2, st).element([s, 1]),
+                     id="Q[s,t][e]/(e^2)"),
+        pytest.param(r2, r2.eps(), id="Q(r2)[e]/(e^2)"),
+        pytest.param(S, S.element([F.one(), TruncAlgebra(3).eps(), TruncAlgebra(1).one()]),
+                     id="SumAlgebra"),
+    ]
+
+
+@pytest.mark.parametrize("ring, non_unit", _ring_cases())
+def test_det_and_ring_inverse_match_a_cofactor_reference(ring, non_unit):
+    assert not ring.is_field()
+    rng = random.Random(repr(ring))
+    one, zero = ring.one(), ring.zero()
+    for n in range(1, 6):
+        rows = [[_random_element(ring, rng) for _ in range(n)] for _ in range(n)]
+        assert Matrix.from_rows(rows).det() == _reference_det(rows, one)
+        # unit lower times upper with unit diagonal: the determinant is a unit
+        lower = Matrix.from_rows([[_random_element(ring, rng) if j < i
+                                   else one if j == i else zero
+                                   for j in range(n)] for i in range(n)])
+        upper = Matrix.from_rows([[_random_element(ring, rng) if j > i
+                                   else ring.coerce(rng.choice((1, -1, 2))) if j == i
+                                   else zero for j in range(n)] for i in range(n)])
+        g = lower * upper
+        g_inv = g.inv()
+        assert g.det() == _reference_det(g.rows(), one)
+        assert g_inv == _reference_inverse(g.rows(), one)
+        assert (g * g_inv).is_identity() and (g_inv * g).is_identity()
+        # a row scaled by a non-unit makes the determinant a non-unit
+        scaled = g.rows()
+        scaled[0] = [x * non_unit for x in scaled[0]]
+        singular = Matrix.from_rows(scaled)
+        with pytest.raises(SingularMatrixError) as err:
+            singular.inv()
+        assert err.value.determinant == _reference_det(scaled, one) == singular.det()
+
+
+def test_ring_inverse_builds_only_its_result(monkeypatch):
+    # det and every cofactor come from one table of minors: no sub-matrix
+    T = TruncAlgebra(3)
+    rng = random.Random(5)
+    g = Matrix.from_rows([[_random_element(T, rng) for _ in range(4)] for _ in range(4)])
+    built = []
+    init = Matrix.__init__
+
+    def counting_init(self, *args):
+        built.append(args[:2])
+        init(self, *args)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    g.det()
+    assert built == []
+    g.inv()
+    assert built == [(4, 4)]
+
+
 # --- the ring protocol behind the generic helpers ---------------------------
 
 def _protocol_cases():
-    """(element x, domain_key, zero, one, image of 3/2, x^-1, a non-unit)."""
+    """(element x, its descriptor, zero, one, image of 3/2, x^-1, a non-unit)."""
     XY = ("X", "Y")
     X, _ = MultiPoly.variables_in(*XY)
     K = NumberField("w", (-2, 0, 1))
@@ -449,32 +553,32 @@ def _protocol_cases():
     F1, F2 = TruncAlgebra(2), TruncAlgebra(1)
     S = SumAlgebra([F1, F2])
     return [
-        pytest.param(Q(2, 3), ("Q",), Q(0), Q(1), Q(3, 2), Q(3, 2), Q(0),
+        pytest.param(Q(2, 3), QQ, Q(0), Q(1), Q(3, 2), Q(3, 2), Q(0),
                      id="Fraction"),
-        pytest.param(MultiPoly(XY, {(0, 0): 2}), ("QPoly",), MultiPoly(XY, {}),
+        pytest.param(MultiPoly(XY, {(0, 0): 2}), PolyDomain(*XY), MultiPoly(XY, {}),
                      MultiPoly(XY, {(0, 0): 1}), MultiPoly(XY, {(0, 0): Q(3, 2)}),
                      MultiPoly(XY, {(0, 0): Q(1, 2)}), X + 1, id="MultiPoly"),
         # (1 + w)(w - 1) = w^2 - 1 = 1
-        pytest.param(K.element((1, 1)), ("NF", "w", (-2, 0, 1)), K.element((0, 0)),
+        pytest.param(K.element((1, 1)), NumberField("w", (-2, 0, 1)), K.element((0, 0)),
                      K.element((1, 0)), K.element((Q(3, 2), 0)), K.element((-1, 1)),
                      K.element((0, 0)), id="NumberFieldElement"),
-        pytest.param(A.element([1, 1]), ("Trunc", 3, ("Q",)), A.element([0, 0, 0]),
+        pytest.param(A.element([1, 1]), TruncAlgebra(3, QQ), A.element([0, 0, 0]),
                      A.element([1, 0, 0]), A.element([Q(3, 2), 0, 0]),
                      A.element([1, -1, 1]), A.element([0, 1]), id="Trunc-QQ"),
         # (2 + x0 e)(1/2 - x0/4 e) = 1 mod e^2
-        pytest.param(P.element([2, x0]), ("Trunc", 2, ("QPoly",)), P.element([0, 0]),
+        pytest.param(P.element([2, x0]), TruncAlgebra(2, PolyDomain()), P.element([0, 0]),
                      P.element([1, 0]), P.element([Q(3, 2), 0]),
                      P.element([Q(1, 2), x0 * Q(-1, 4)]), P.element([x0, 1]),
                      id="Trunc-PolyDomain"),
         # (w + e)^-1 = 1/w - e/w^2 = w/2 - e/2
-        pytest.param(N.element([w, 1]), ("Trunc", 2, ("NF", "w", (-2, 0, 1))),
+        pytest.param(N.element([w, 1]), TruncAlgebra(2, NumberField("w", (-2, 0, 1))),
                      N.element([K.element((0, 0))] * 2),
                      N.element([K.element((1, 0)), K.element((0, 0))]),
                      N.element([K.element((Q(3, 2), 0)), K.element((0, 0))]),
                      N.element([K.element((0, Q(1, 2))), K.element((Q(-1, 2), 0))]),
                      N.eps(), id="Trunc-NumberField"),
         pytest.param(S.element([F1.element([1, 1]), F2.element([2])]),
-                     ("Sum", (("Trunc", 2, ("Q",)), ("Trunc", 1, ("Q",)))),
+                     SumAlgebra([TruncAlgebra(2), TruncAlgebra(1)]),
                      S.element([F1.element([0, 0]), F2.element([0])]),
                      S.element([F1.element([1, 0]), F2.element([1])]),
                      S.element([F1.element([Q(3, 2), 0]), F2.element([Q(3, 2)])]),
@@ -486,7 +590,7 @@ def _protocol_cases():
 @pytest.mark.parametrize("x, key, zero, one, three_halves, inverse, non_unit",
                          _protocol_cases())
 def test_ring_protocol_by_hand(x, key, zero, one, three_halves, inverse, non_unit):
-    assert domain_key(x) == key
+    assert domain_key(x) == key and hash(domain_key(x)) == hash(key)
     for got, want in ((zero_like(x), zero), (one_like(x), one),
                       (scalar_into(Q(3, 2), x), three_halves)):
         assert got == want and type(got) is type(want)
