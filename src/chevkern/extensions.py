@@ -604,6 +604,8 @@ class FinDimAlgebra:
                 if head in fields:
                     raise ValueError("second %s line %r" % (head, raw))
                 fields[head] = tail.split()
+                if head == "dim" and len(fields[head]) != 1:
+                    raise ValueError("dim line %r must hold one number" % raw)
             elif "=" in line and "*" in line:
                 head, tail = line.split("=", 1)
                 a, b = (s.strip() for s in head.split("*", 1))
@@ -678,167 +680,110 @@ def _pivots(vectors) -> list:
     return row_reduce([list(row) for row in zip(*vectors)], len(vectors))
 
 
-class _QuotientView:
-    """The semisimple quotient A/rad(A) with explicit projection and section.
+def _combination(coeffs, vectors) -> tuple:
+    """The sum of c * v over paired coefficients and coordinate vectors."""
+    pairs = [(c, v) for c, v in zip(coeffs, vectors) if c]
+    return tuple(sum((c * v[i] for c, v in pairs if v[i]), Fraction(0))
+                 for i in range(len(vectors[0])))
 
-    The section spans basis vectors of A complementary to the radical, so
-    lift places coordinates at their indices; project takes the matching
-    rows of the inverse change of basis (radical basis, then complement).
+
+def _minpoly_on_block(algebra: FinDimAlgebra, e, y):
+    """Minimal polynomial of multiplication by y on the block eA, and e, ey, ey^2, ...
+
+    y acts on eA as e y does, so a basis vector y keeps the products sparse.
+    The powers up to ey^n, n = dim A >= dim eA, are reduced together; the
+    first one that depends on those before it has its coordinates in them
+    in its reduced column.
     """
-
-    def __init__(self, algebra: FinDimAlgebra, rad_basis):
-        self.algebra = algebra
-        n, r = algebra.dim, len(rad_basis)
-        # reduce [radical basis | I]: the pivots past the radical pick the
-        # complement, and the I block becomes the inverse of the pivot
-        # columns, the change of basis (radical basis, then complement)
-        work = [[v[i] for v in rad_basis] + list(algebra.basis_vector(i))
-                for i in range(n)]
-        self._comp = [p - r for p in row_reduce(work, r + n) if p >= r]
-        self.dim = len(self._comp)
-        self._rows = [tuple(row[r:]) for row in work[r:]]
-        # project(b_k) for every basis vector b_k of A: column k of the rows
-        self.basis_projections = tuple(tuple(row[k] for row in self._rows)
-                                       for k in range(n))
-
-    def project(self, vec) -> tuple:
-        return tuple(sum((a * b for a, b in zip(row, vec) if b), Fraction(0))
-                     for row in self._rows)
-
-    def lift(self, qvec) -> tuple:
-        out = [Fraction(0)] * self.algebra.dim
-        for k, c in zip(self._comp, qvec):
-            out[k] = c
-        return tuple(out)
-
-    def mult(self, x, y) -> tuple:
-        return self.project(self.algebra.mult(self.lift(x), self.lift(y)))
-
-    def unit(self) -> tuple:
-        return self.project(self.algebra.unit)
-
-    def scale_add(self, c, x, y) -> tuple:
-        return tuple(c * a + b for a, b in zip(x, y))
+    n = algebra.dim
+    powers = [e]
+    for _ in range(n):
+        powers.append(algebra.mult(powers[-1], y))
+    rows = [list(row) for row in zip(*powers)]
+    pivots = row_reduce(rows, n + 1)
+    k = next((k for k, p in enumerate(pivots) if p != k), len(pivots))
+    return tuple(-row[k] for row in rows[:k]) + (Fraction(1),), powers[:k + 1]
 
 
-def _block_dim(view: _QuotientView, u) -> int:
-    return len(_pivots([view.mult(u, p) for p in view.basis_projections]))
+def _split_block(algebra: FinDimAlgebra, e, indices):
+    """Split the idempotent e as E + (e - E) at a rational eigenvalue, or None.
 
-
-def _minpoly_on_block(view: _QuotientView, u, y):
-    """Minimal polynomial of multiplication by y inside the block u*A.
-
-    The powers u, uy, uy^2, ... grow until the last one depends on the ones
-    before it; its coordinates in them are then the reduced last column.
+    Each b_k, k in indices (the e b_k span eA), is tried as y.  The roots of
+    y's minimal polynomial on eA, read from its monic squarefree part
+    poly / gcd(poly, poly'), are the conjugates of e y's values in the
+    residue fields of eA.  A y with one root is a scalar modulo the radical;
+    a y with no rational root shows that no residue field of eA is Q (None).
+    Otherwise poly = P R with P = (t - lam)^m and R prime to it, and
+    sP + tR = 1 makes (tR)(y) idempotent: it is 1 mod P and 0 mod R.
     """
-    powers = [u]
-    while True:
-        powers.append(view.mult(powers[-1], y))
-        rows = [list(row) for row in zip(*powers)]
-        k = len(powers) - 1
-        if len(row_reduce(rows, k + 1)) <= k:
-            return tuple(-row[k] for row in rows[:k]) + (Fraction(1),)
-
-
-def _split_block(view: _QuotientView, u):
-    """Split an idempotent u using a rational eigenvalue, if any exists."""
-    for p in view.basis_projections:
-        xbar = view.mult(u, p)
-        poly = _minpoly_on_block(view, u, xbar)
-        if len(poly) <= 2:
+    for k in indices:
+        poly, powers = _minpoly_on_block(algebra, e, algebra.basis_vector(k))
+        g = pxgcd(poly, tuple(i * c for i, c in enumerate(poly))[1:])[0]
+        squarefree = pdivmod(poly, tuple(c / g[-1] for c in g))[0]
+        if len(squarefree) <= 2:
             continue
-        for lam in rational_roots(poly):
-            lin = (-lam, Fraction(1))
-            quo, rem = pdivmod(poly, lin)
-            if ptrim(rem):
-                continue
-            g, s, t = pxgcd(lin, quo)
-            if len(g) != 1:
-                continue  # repeated factor; cannot separate with this root
-            # e = t(y) * quo(y) / g, an idempotent with e = 1 on the lam part
-            e_poly = pmul(t, quo)
-            e_poly = tuple(c / g[0] for c in e_poly)
-            e = _eval_poly_in_block(view, u, xbar, e_poly)
-            if view.mult(e, e) != e:
-                raise ArithmeticError("constructed element is not idempotent")
-            rest = view.scale_add(Fraction(-1), e, u)
-            if all(c == 0 for c in e) or all(c == 0 for c in rest):
-                continue
-            return [e, rest]
+        roots = rational_roots(squarefree)
+        if not roots:
+            return None
+        lin, part, rest = (-roots[0], Fraction(1)), (Fraction(1),), poly
+        while not pdivmod(rest, lin)[1]:
+            part, rest = pmul(part, lin), pdivmod(rest, lin)[0]
+        g, _, t = pxgcd(part, rest)
+        # deg tR < deg poly, so (tR)(y) is a combination of the powers
+        idem = _combination([c / g[0] for c in pmul(t, rest)], powers)
+        if algebra.mult(idem, idem) != idem:
+            raise ArithmeticError("constructed element is not idempotent")
+        return [idem, tuple(a - b for a, b in zip(e, idem))]
     return None
 
 
-def _eval_poly_in_block(view: _QuotientView, u, y, poly):
-    acc = tuple(Fraction(0) for _ in range(view.dim))
-    for c in reversed(poly):
-        acc = view.mult(acc, y)
-        acc = view.scale_add(c, u, acc)
-    return acc
-
-
 def decompose_algebra(algebra: FinDimAlgebra) -> DecompositionReport:
-    """Split a commutative algebra into local factors via lifted idempotents.
+    """Split a commutative algebra into local factors by idempotents found in A.
 
     The radical is the kernel of the trace form Tr(b_i b_j) of the regular
-    representation, read from the structure constants (trace_form);
-    idempotents of the semisimple quotient are found through rational
-    eigenvalues (a non-rational residue field raises IdempotentLiftingError)
-    and lifted by the Newton iteration e -> 3e^2 - 2e^3.  Each factor is
-    examined for principality of its maximal ideal.
+    representation, read from the structure constants (trace_form).  A block
+    eA, e idempotent, is local with residue field Q exactly when
+    dim eA - dim e rad(A) = 1; any other block is split by an exact
+    idempotent at a rational eigenvalue (_split_block), or has no residue
+    field Q and raises IdempotentLiftingError.  Each factor is examined for
+    principality of its maximal ideal.
     """
     n = algebra.dim
-    _, _, rad_basis = rref(algebra.trace_form())
-    rad_basis = list(rad_basis)
-    view = _QuotientView(algebra, rad_basis)
+    rad_basis = list(rref(algebra.trace_form())[2])
 
-    # split blocks depth first, so the leaves keep the order of the splits;
-    # each block is ranked once
+    # split blocks depth first; each block spans eA and e rad(A) once, and a
+    # local one keeps them for its factor analysis
     blocks = []
-    todo = [view.unit()]
+    todo = [algebra.unit]
     while todo:
-        u = todo.pop()
-        bd = _block_dim(view, u)
-        split = _split_block(view, u) if bd > 1 else None
+        e = todo.pop()
+        products = [algebra.mult(e, algebra.basis_vector(k)) for k in range(n)]
+        pivots = _pivots(products)
+        factor_vectors = [products[p] for p in pivots]
+        # e r from the coordinates of r and the products e b_k
+        ideal_products = [_combination(r, products) for r in rad_basis]
+        ideal_vectors = [ideal_products[p] for p in _pivots(ideal_products)]
+        residue_dim = len(factor_vectors) - len(ideal_vectors)
+        if residue_dim <= 1:
+            blocks.append((e, factor_vectors, ideal_vectors))
+            continue
+        split = _split_block(algebra, e, pivots)
         if split is None:
-            blocks.append((u, bd))
-        else:
-            todo.extend(reversed(split))
-    for u, bd in blocks:
-        if bd > 1:
             raise IdempotentLiftingError(
-                "semisimple block of dimension %d has no rational idempotent "
-                "splitting (non-rational residue field)" % bd)
-
-    # lift the idempotents through the radical
-    lifted = []
-    for u, _ in blocks:
-        e = view.lift(u)
-        for _ in range(4 * n + 4):
-            e2 = algebra.mult(e, e)
-            if e2 == e:
-                break
-            e3 = algebra.mult(e2, e)
-            e = tuple(3 * a - 2 * b for a, b in zip(e2, e3))
-        else:
-            raise ArithmeticError("idempotent lifting did not converge")
-        lifted.append(e)
-    # orthogonality and completeness of the lifted family
-    total = algebra.zero()
-    for i, e in enumerate(lifted):
-        total = tuple(a + b for a, b in zip(total, e))
-        for j in range(i + 1, len(lifted)):
-            if any(c != 0 for c in algebra.mult(e, lifted[j])):
-                raise ArithmeticError("lifted idempotents are not orthogonal")
-    if total != algebra.unit:
-        raise ArithmeticError("lifted idempotents do not sum to the unit")
+                "a part of the algebra has a residue algebra of dimension %d over Q "
+                "but no residue field Q: each of its residue fields is a proper "
+                "extension of Q" % residue_dim)
+        todo.extend(reversed(split))
+    # orthogonality and completeness of the idempotents
+    idempotents = [e for e, _, _ in blocks]
+    if any(any(algebra.mult(a, b)) for a, b in itertools.combinations(idempotents, 2)):
+        raise ArithmeticError("idempotents are not orthogonal")
+    if tuple(sum(c, Fraction(0)) for c in zip(*idempotents)) != algebra.unit:
+        raise ArithmeticError("idempotents do not sum to the unit")
 
     report = DecompositionReport(algebra=algebra, radical_dim=len(rad_basis))
-    for e in sorted(lifted):
-        basis_products = [algebra.mult(e, algebra.basis_vector(k)) for k in range(n)]
-        factor_vectors = [basis_products[p] for p in _pivots(basis_products)]
+    for e, factor_vectors, ideal_vectors in sorted(blocks):
         fdim = len(factor_vectors)
-        ideal_products = [algebra.mult(e, r) for r in rad_basis]
-        ideal_vectors = [ideal_products[p] for p in _pivots(ideal_products)]
         mdim = len(ideal_vectors)
         if mdim == 0:
             report.factors.append(LocalFactor(

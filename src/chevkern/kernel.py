@@ -733,9 +733,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.ncols:(i + 1) * self.ncols]
 
-    def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.ncols + j] for i in range(self.nrows))
-
     def rows(self):
         return [list(self.row(i)) for i in range(self.nrows)]
 

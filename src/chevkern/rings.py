@@ -425,19 +425,6 @@ class UnitWitness:
     symmetric: tuple
     poly_coeffs: tuple
 
-    def polynomial_str(self) -> str:
-        d = len(self.poly_coeffs)
-        parts = []
-        for i, c in enumerate(self.poly_coeffs):
-            deg = d - 1 - i
-            if deg == 0:
-                parts.append(str(c))
-            elif deg == 1:
-                parts.append("%s*z" % (c,))
-            else:
-                parts.append("%s*z^%d" % (c, deg))
-        return " + ".join(parts)
-
 
 def unit_group_witness(x: TruncElement, target: TruncElement) -> UnitWitness:
     """Express ``target`` (a unit congruent to 1) in terms of delta = tail of x.

@@ -30,9 +30,6 @@ class Root:
     def scale(self, k: int) -> "Root":
         return Root(tuple(k * c for c in self.coords))
 
-    def norm2(self) -> int:
-        return sum(c * c for c in self.coords)
-
     def __repr__(self):
         return "Root%s" % (self.coords,)
 
@@ -50,16 +47,6 @@ class RootSystem:
 
     def contains(self, root: Root) -> bool:
         return root.coords in self._root_set
-
-    def is_long(self, root: Root) -> bool:
-        if not self.contains(root):
-            raise ValueError("%r is not a root of %s" % (root, self.kind))
-        return root.norm2() == max(r.norm2() for r in self.roots)
-
-    def is_short(self, root: Root) -> bool:
-        if not self.contains(root):
-            raise ValueError("%r is not a root of %s" % (root, self.kind))
-        return root.norm2() == min(r.norm2() for r in self.roots)
 
     def __repr__(self):
         return "RootSystem(%s, %d roots)" % (self.kind, len(self.roots))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chevalley import ChevalleyModel, GroupElement, h_letters, w_letters
+from .chevalley import ChevalleyModel, GroupElement, h_letters
 from .kernel import as_ring_element, is_zero, one_like
 from .rootsys import Root
 
@@ -79,16 +79,6 @@ def _reduce_letters(letters):
         if t is not None:
             stack.append((alpha, t))
     return tuple(stack)
-
-
-def w_word(alpha: Root, u) -> SteinbergWord:
-    """w(alpha, u) = x(alpha, u) x(-alpha, -1/u) x(alpha, u); u a unit."""
-    return SteinbergWord(w_letters(alpha, u))
-
-
-def h_word(alpha: Root, u) -> SteinbergWord:
-    """h(alpha, u) = w(alpha, u) w(alpha, -1)."""
-    return SteinbergWord(h_letters(alpha, u))
 
 
 def symbol_word_letters(alpha: Root, u, v):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from chevkern import cli
+from chevkern.extensions import FinDimAlgebra
 from chevkern.rings import TruncAlgebra, TruncElement
 from chevkern.steinberg import TameSymbol
 
@@ -388,6 +389,14 @@ def test_exit_codes(tmp_path, args, code):
     except SystemExit as exc:  # argparse's usage errors
         got = exc.code
     assert got == code
+
+
+def test_extensions_input_with_two_numbers_on_its_dim_line_exits_2(tmp_path):
+    lines = FinDimAlgebra.truncated(2).to_lines()
+    algebra = tmp_path / "algebra.txt"
+    algebra.write_text("\n".join(["dim 2 3"] + lines[1:]) + "\n")
+    assert cli.main(["extensions", "--input", str(algebra), "--samples", "3",
+                     "--output", str(tmp_path / "out")]) == 2
 
 
 def test_default_units_run_checks_a_non_unit(tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ from chevkern.extensions import (
     IdempotentLiftingError,
     TracelessMatrices,
     _minpoly_on_block,
-    _QuotientView,
     ad_matrix,
     commutator_lift_invariance,
     decompose_algebra,
@@ -579,52 +578,57 @@ def test_trace_form_equals_dense_products(name):
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_FORM_ALGEBRAS))
-def test_quotient_view_section_and_radical(name):
+def test_each_factor_is_local_over_the_radical(name):
+    # e rad(A) has codimension 1 in eA for every factor idempotent e, and
+    # these parts of the radical add up to the kernel of the dense trace form
     alg = TRACE_FORM_ALGEBRAS[name]()
     _, _, rad_basis = rref(_dense_trace_gram(alg))
-    view = _QuotientView(alg, list(rad_basis))
-    assert view.dim == alg.dim - len(rad_basis)
-    zero = (Fraction(0),) * view.dim
-    for t in range(view.dim):
-        q = tuple(Fraction(int(s == t)) for s in range(view.dim))
-        assert view.project(view.lift(q)) == q
-    for r in rad_basis:
-        assert view.project(r) == zero
-    # the cached projections of the basis vectors of the algebra
-    assert view.basis_projections == tuple(view.project(alg.basis_vector(k))
-                                           for k in range(alg.dim))
+    report = decompose_algebra(alg)
+    assert report.radical_dim == len(rad_basis)
+    for f in report.factors:
+        ideal = [alg.mult(f.idempotent, r) for r in rad_basis]
+        assert _rank(ideal) == f.dim - 1
+        assert _rank([alg.mult(f.idempotent, alg.basis_vector(k))
+                      for k in range(alg.dim)]) == f.dim
+    assert sum(f.dim - 1 for f in report.factors) == len(rad_basis)
+
+
+def _rank(vectors) -> int:
+    sympy = pytest.importorskip("sympy")
+    if not vectors:
+        return 0
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v]
+                         for v in vectors]).rank()
 
 
 def _independent(vectors) -> bool:
-    sympy = pytest.importorskip("sympy")
-    if not vectors:
-        return True
-    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v]
-                      for v in vectors])
-    return m.rank() == len(vectors)
+    return _rank(vectors) == len(vectors)
 
 
 @pytest.mark.parametrize("name", ["split_2_3", "split_1_3_2", "split_2_3_reversed"])
 def test_minpoly_on_block_is_the_minimal_annihilator(name):
     alg = TRACE_FORM_ALGEBRAS[name]()
-    _, _, rad_basis = rref(alg.trace_form())
-    view = _QuotientView(alg, list(rad_basis))
-    u = view.unit()
-    zero = (Fraction(0),) * view.dim
-    for p in view.basis_projections:
-        y = view.mult(u, p)
-        poly = _minpoly_on_block(view, u, y)
-        assert poly[-1] == 1
-        powers = [u]
-        for _ in range(len(poly) - 1):
-            powers.append(view.mult(powers[-1], y))
-        # poly(y) u = 0, and no lower degree annihilates: u, ..., u y^(deg-1)
-        # are independent
-        total = zero
-        for c, v in zip(poly, powers):
-            total = view.scale_add(c, v, total)
-        assert total == zero
-        assert _independent(powers[:-1])
+    zero = alg.zero()
+    blocks = [alg.unit] + [f.idempotent for f in decompose_algebra(alg).factors]
+    for e in blocks:
+        for k in range(alg.dim):
+            y = alg.mult(e, alg.basis_vector(k))
+            poly, powers = _minpoly_on_block(alg, e, y)
+            # b_k acts on eA as e b_k does
+            assert _minpoly_on_block(alg, e, alg.basis_vector(k)) == (poly, powers)
+            assert poly[-1] == 1
+            assert len(powers) == len(poly)
+            expected = [e]
+            for _ in range(len(poly) - 1):
+                expected.append(alg.mult(expected[-1], y))
+            assert powers == expected
+            # poly(y) e = 0, and no lower degree annihilates: e, ..., e y^(deg-1)
+            # are independent
+            total = zero
+            for c, v in zip(poly, powers):
+                total = tuple(c * a + b for a, b in zip(v, total))
+            assert total == zero
+            assert _independent(powers[:-1])
 
 
 def test_decompose_irrational_residue_field():
@@ -672,3 +676,71 @@ def test_algebra_parse_rejects_contradictory_lines(extra):
     lines = FinDimAlgebra.truncated(2).to_lines()
     with pytest.raises(ValueError, match=re.escape(repr(extra))):
         FinDimAlgebra.parse("\n".join(lines + [extra]))
+
+
+@pytest.mark.parametrize("dim_line", ["dim 2 3", "dim 2 2"])
+def test_algebra_parse_rejects_a_dim_line_with_two_numbers(dim_line):
+    lines = FinDimAlgebra.truncated(2).to_lines()
+    assert lines[0] == "dim 2"
+    with pytest.raises(ValueError, match=re.escape(repr(dim_line))):
+        FinDimAlgebra.parse("\n".join([dim_line] + lines[1:]))
+
+
+def test_decompose_names_what_blocks_two_gaussian_residue_fields():
+    # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2): the CRT idempotents are
+    # rational, but both residue fields are Q(i)
+    alg = FinDimAlgebra.from_univariate_quotient((4, 0, 0, 0, 1))
+    with pytest.raises(IdempotentLiftingError) as info:
+        decompose_algebra(alg)
+    assert str(info.value) == (
+        "a part of the algebra has a residue algebra of dimension 4 over Q but no "
+        "residue field Q: each of its residue fields is a proper extension of Q")
+
+
+def _oracle_quotients():
+    """Seeded f = prod (X - r)^m, every third one times an irreducible quadratic."""
+    rng = random.Random(20261018)
+    quadratics = [(1, 0, 1), (-2, 0, 1), (2, 2, 1), (1, 1, 1), (Fraction(-1, 3), 0, 1)]
+    cases = []
+    for index in range(24):
+        candidates = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2)]
+        roots = sorted(set(rng.sample(candidates, rng.randint(1, 3))))
+        factors = [((-r, 1), rng.randint(1, 3)) for r in roots]
+        if index % 3 == 0:
+            factors.append((rng.choice(quadratics), rng.randint(1, 2)))
+        cases.append(factors)
+    return cases
+
+
+@pytest.mark.parametrize("factors", _oracle_quotients(),
+                         ids=["f%d" % i for i in range(len(_oracle_quotients()))])
+def test_decompose_matches_sympy_factorization(factors):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f = sympy.Integer(1)
+    for coeffs, m in factors:
+        f *= sum(sympy.Rational(Fraction(c).numerator, Fraction(c).denominator) * x ** i
+                 for i, c in enumerate(coeffs)) ** m
+    f = sympy.Poly(sympy.expand(f), x, domain="QQ")
+    n = f.degree()
+    alg = FinDimAlgebra.from_univariate_quotient(
+        [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())])
+    _, oracle = sympy.factor_list(f.as_expr(), x)
+    if any(sympy.degree(p, x) > 1 for p, _ in oracle):
+        with pytest.raises(IdempotentLiftingError):
+            decompose_algebra(alg)
+        return
+    report = decompose_algebra(alg)
+    assert sorted((fac.dim, fac.trunc_order) for fac in report.factors) == sorted(
+        (m, m) for _, m in oracle)
+    # the CRT idempotent of (x - r)^m: 1 mod (x - r)^m, 0 mod the cofactor
+    expected = []
+    for p, m in oracle:
+        part = sympy.Poly(p ** m, x, domain="QQ")
+        rest = sympy.quo(f, part)
+        _, t, _ = sympy.gcdex(part, rest)
+        crt = sympy.rem(t * rest, f)
+        coeffs = list(reversed(crt.all_coeffs())) + [0] * n
+        expected.append(tuple(Fraction(int(c.p), int(c.q))
+                              for c in map(sympy.Rational, coeffs[:n])))
+    assert sorted(fac.idempotent for fac in report.factors) == sorted(expected)

@@ -268,7 +268,6 @@ def test_unit_witness_d2_hand():
     w = unit_group_witness(x, target)
     assert w.symmetric == (Q(5),)
     assert w.poly_coeffs == (Q(1), Q(-5))
-    assert w.polynomial_str() == "1*z + -5"
 
 
 def test_unit_witness_random_roundtrip():

@@ -17,14 +17,6 @@ def test_root_counts():
     assert len(enumerate_roots("C2").roots) == 8
 
 
-def test_c2_lengths():
-    C2 = enumerate_roots("C2")
-    longs = [r for r in C2.roots if C2.is_long(r)]
-    shorts = [r for r in C2.roots if C2.is_short(r)]
-    assert len(longs) == 4 and len(shorts) == 4
-    assert Root((2, 0)) in longs and Root((1, 1)) in shorts
-
-
 def test_b2_alias():
     B2 = enumerate_roots("B2")
     assert B2.kind == "C2"

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from chevkern.chevalley import Matrix, build_model
+from chevkern.chevalley import Matrix, build_model, h_letters, w_letters
 from chevkern.rings import TruncAlgebra
 from chevkern.rootsys import Root
 from chevkern.steinberg import (
@@ -13,11 +13,9 @@ from chevkern.steinberg import (
     TameSymbol,
     check_symbol_relations,
     derived_symbol_identities,
-    h_word,
     symbol_is_central_kernel,
     symbol_word,
     symbol_word_letters,
-    w_word,
     word_eval,
 )
 
@@ -80,9 +78,9 @@ def test_word_inverse_evaluates_to_inverse():
 
 def test_w_and_h_words_evaluate_to_matrices():
     m = build_model("A2")
-    g = word_eval(w_word(A, Q(1)), m)
+    g = word_eval(SteinbergWord(w_letters(A, Q(1))), m)
     assert g.matrix == Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 1]])
-    h = word_eval(h_word(A, Q(2)), m)
+    h = word_eval(SteinbergWord(h_letters(A, Q(2))), m)
     assert h.matrix == Matrix.from_rows([[2, 0, 0], [0, Q(1, 2), 0], [0, 0, 1]])
 
 
