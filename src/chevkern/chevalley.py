@@ -13,8 +13,9 @@ and the commutator formula
 
     [e(alpha, s), e(beta, t)] = prod e(i*alpha + j*beta, N_ij s^i t^j)
 
-whose integer constants N_ij in {+-1, +-2} are inferred symbolically, frozen
-as golden data, and re-verified over truncated rings.
+whose integer constants N_ij in {+-1, +-2} are read off the symbolic
+commutator, certified by the one formula word they give, frozen as golden
+data, and re-verified over truncated rings.
 """
 
 from __future__ import annotations
@@ -394,45 +395,44 @@ def verify_additivity(model: ChevalleyModel, alpha: Root, s, t) -> bool:
     return (model.e(alpha, s) * model.e(alpha, t)).matrix == model.e(alpha, s + t).matrix
 
 
-_CANDIDATE_CONSTANTS = (1, -1, 2, -2)
-
-
 def infer_structure_constants(model: ChevalleyModel,
                               ring: Optional[TruncAlgebra] = None) -> StructureConstants:
-    """Determine every N_ij by exhaustive candidate sweep with uniqueness check.
+    """Read every N_ij off the commutator, then certify each pair with one word.
 
-    Works with formal parameters: over Q the parameters are the polynomial
-    indeterminates s, t; over a truncated ring they are generic elements with
-    formal coefficients.  A pair admitting zero or several candidate tuples
-    raises ModelInconsistencyError.
+    X_gamma of distinct roots (distinct weights) have disjoint supports, and no
+    two terms of a string sum to a root, so at the first letter (p, q, c) of
+    i*alpha + j*beta, [e(alpha, s), e(beta, t)] holds c * N_ij s0^i t0^j, in
+    degree e^0 for generic s, t of a truncated ring.  A value outside {+-1, +-2},
+    or a formula word unequal to the commutator, raises ModelInconsistencyError.
     """
     if ring is None:
-        s, t = MultiPoly.variables_in("s", "t")
+        s, t = MultiPoly.variables_in("s0", "t0")
     else:
         if not isinstance(ring.base, PolyDomain):
             raise ValueError("inference needs formal coefficients; use a polynomial base")
-        s = ring.generic("s")
-        t = ring.generic("t")
+        s, t = ring.generic("s"), ring.generic("t")
     table = {}
     for alpha, beta in ordered_root_pairs(model.system):
         string = model.string(alpha, beta)
         lhs = model.e(alpha, s).commutator(model.e(beta, t)).matrix
         if not string.terms:
             if not lhs.is_identity():
-                raise ModelInconsistencyError(
-                    "empty root string but nontrivial commutator for (%r, %r)"
-                    % (alpha, beta))
+                raise ModelInconsistencyError("empty root string but nontrivial commutator"
+                                              " for (%r, %r)" % (alpha, beta))
             continue
-        matches = []
-        for cand in itertools.product(_CANDIDATE_CONSTANTS, repeat=len(string.terms)):
-            if model.word(_formula_letters(string, s, t, cand)).matrix == lhs:
-                matches.append(cand)
-        if len(matches) != 1:
-            raise ModelInconsistencyError(
-                "pair (%r, %r) admits %d candidate constant tuples"
-                % (alpha, beta, len(matches)))
-        for (i, j, _), n in zip(string.terms, matches[0]):
-            table[(alpha.coords, beta.coords, i, j)] = n
+        read = []
+        for i, j, gamma in string.terms:
+            p, q, c = model._entries(gamma)[0]
+            x = lhs.entry(p, q) if ring is None else lhs.entry(p, q).coeff(0)
+            n = Fraction(x.coefficient({"s0": i, "t0": j}), c)
+            if n not in (1, -1, 2, -2):
+                raise ModelInconsistencyError("pair (%r, %r) reads N_%d%d = %s, not +-1 or +-2"
+                                              % (alpha, beta, i, j, n))
+            read.append(int(n))
+            table[(alpha.coords, beta.coords, i, j)] = int(n)
+        if not model.word(_formula_letters(string, s, t, read)).matrix == lhs:
+            raise ModelInconsistencyError("pair (%r, %r): the formula with the read constants"
+                                          " %s is not the commutator" % (alpha, beta, tuple(read)))
     return StructureConstants(model.system.kind, table)
 
 

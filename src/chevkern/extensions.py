@@ -448,6 +448,8 @@ class FinDimAlgebra:
         self.names = tuple(names)
         self.dim = len(self.names)
         n = self.dim
+        if n == 0:
+            raise AlgebraAxiomError("the algebra has dimension 0, so 1 = 0; give a basis")
         self.tensor = tuple(tuple(tuple(Fraction(c) for c in row) for row in plane)
                             for plane in tensor)
         if len(self.tensor) != n or any(len(p) != n for p in self.tensor) or any(

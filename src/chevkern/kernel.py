@@ -151,13 +151,16 @@ def rational_roots(poly):
 # ---------------------------------------------------------------------------
 # number fields
 
+MAX_FIELD_DEGREE = 3
+
+
 class NumberField:
     """Field Q(w) for w a root of a monic integer polynomial with no rational root.
 
     The defining polynomial is given by its integer coefficients in ascending
-    order, e.g. ``(-2, 0, 1)`` for w^2 - 2.  For degree <= 3 the no-rational-root
-    screen is a complete irreducibility proof; beyond that irreducibility is the
-    caller's contract.  The field is its own ring descriptor (see ``ring_of``).
+    order, e.g. ``(-2, 0, 1)`` for w^2 - 2.  The no-rational-root screen is a
+    complete irreducibility proof only up to degree 3, so higher degrees are
+    rejected.  The field is its own ring descriptor (see ``ring_of``).
     """
 
     def __init__(self, name: str, minpoly: Sequence[int]):
@@ -166,6 +169,9 @@ class NumberField:
             raise ValueError("defining polynomial must have degree >= 1")
         if coeffs[-1] != 1:
             raise ValueError("defining polynomial must be monic")
+        if len(coeffs) - 1 > MAX_FIELD_DEGREE:
+            raise ValueError("defining polynomial of degree %d is above the limit %d"
+                             % (len(coeffs) - 1, MAX_FIELD_DEGREE))
         self.name = name
         self.minpoly = coeffs
         self.degree = len(coeffs) - 1
@@ -558,6 +564,8 @@ def poly_eval(p: MultiPoly, point: dict):
 # expression parsing (input files)
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Pow, ast.Div)
+# the largest total degree a parsed power may expand to
+MAX_PARSE_DEGREE = 64
 
 
 def parse_polynomial(text: str, variables=None) -> MultiPoly:
@@ -588,6 +596,11 @@ def parse_polynomial(text: str, variables=None) -> MultiPoly:
                 n = right.constant_value()
                 if n.denominator != 1 or n < 0:
                     raise ValueError("exponent must be a nonnegative integer in %r" % text)
+                # a constant's exponent counts as its degree, so 2^(10^10) stops here too
+                degree = max(left.degree(), 1) * int(n)
+                if degree > MAX_PARSE_DEGREE:
+                    raise ValueError("power of degree %d exceeds the limit %d in %r"
+                                     % (degree, MAX_PARSE_DEGREE, text))
                 return left ** int(n)
             # division: by a nonzero constant only
             if not isinstance(right, MultiPoly) or not right.is_constant():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -8,6 +9,7 @@ from chevkern.chevalley import (
     GroupElement,
     LevelError,
     Matrix,
+    ModelInconsistencyError,
     StructureConstants,
     build_model,
     congruence_dimension,
@@ -275,6 +277,53 @@ def test_inference_matches_golden():
         assert inferred == golden
 
 
+_INFERENCE_RINGS = [pytest.param(None, id="Q[s,t]"),
+                    pytest.param(TruncAlgebra(2, PolyDomain()), id="Q[s..,t..][e]/(e^2)")]
+
+
+def _forged(kind, coords, change):
+    """A model whose letter for ``coords`` is changed after _validate ran."""
+    m = build_model(kind)
+    m._letters[Root(coords)] = change(m._letters[Root(coords)])
+    return m
+
+
+@pytest.mark.parametrize("ring", _INFERENCE_RINGS)
+def test_inference_rejects_a_read_value_outside_the_constants(ring):
+    # the letter of e1 - e3 scaled by 3: N_11 of (e2 - e1, e1 - e3) reads 3
+    m = _forged("A2", (1, 0, -1), lambda entries: tuple((i, j, 3 * c) for i, j, c in entries))
+    with pytest.raises(ModelInconsistencyError,
+                       match=re.escape("pair (Root(-1, 1, 0), Root(1, 0, -1))")):
+        infer_structure_constants(m, ring)
+
+
+@pytest.mark.parametrize("ring", _INFERENCE_RINGS)
+def test_inference_certificate_rejects_a_sign_flip(ring):
+    # the second entry of X_(1,1) negated: every read value is in {+-1, +-2},
+    # but the formula word with them is not the commutator
+    m = _forged("C2", (1, 1), lambda entries: (entries[0], entries[1][:2] + (-entries[1][2],)))
+    with pytest.raises(ModelInconsistencyError,
+                       match=re.escape("pair (Root(-2, 0), Root(1, 1))")):
+        infer_structure_constants(m, ring)
+
+
+@pytest.mark.parametrize("kind, count", [("A2", 12), ("A3", 48), ("C2", 24)])
+def test_inference_multiplies_one_word_per_nonempty_string(kind, count):
+    for ring in (None, TruncAlgebra(2, PolyDomain())):
+        m = build_model(kind)
+        words = []
+        word = m.word
+
+        def counted(letters, like=None):
+            words.append(letters)
+            return word(letters, like)
+
+        m.word = counted
+        assert infer_structure_constants(m, ring) == load_structure_constants(kind)
+        assert len(words) == count == sum(
+            1 for a, b in ordered_root_pairs(m.system) if m.string(a, b).terms)
+
+
 def test_commutator_full_sweep_symbolic():
     s, t = MultiPoly.variables_in("s", "t")
     for kind in ("A2", "C2"):
@@ -324,7 +373,7 @@ def test_forged_constants_fail():
 def test_frozen_constants_obey_chevalley_theorem(kind, count):
     # |N_{alpha,beta}| = p + 1 with p the largest integer such that
     # beta - p*alpha is a root (Carter, Simple Groups of Lie Type, Thm 4.1.2);
-    # independent of the candidate sweep that produced the tables
+    # independent of the readout that produces the tables
     system = enumerate_roots(kind)
     table = load_structure_constants(kind).table
     ones = {(a, b): n for (a, b, i, j), n in table.items() if (i, j) == (1, 1)}

@@ -319,6 +319,9 @@ def test_algebra_axiom_validation():
     with pytest.raises(AlgebraAxiomError):
         FinDimAlgebra(("1", "u", "v"),
                       ((e0, e1, e2), (e1, z, z), (e2, z, z)), e1)
+    # the zero ring, where 1 = 0
+    with pytest.raises(AlgebraAxiomError, match="dimension 0"):
+        FinDimAlgebra([], (), ())
 
 
 def _associativity_failures(tensor):

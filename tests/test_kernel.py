@@ -5,6 +5,8 @@ from fractions import Fraction as Q
 import pytest
 
 from chevkern.kernel import (
+    MAX_FIELD_DEGREE,
+    MAX_PARSE_DEGREE,
     DomainMismatchError,
     Matrix,
     MultiPoly,
@@ -207,6 +209,35 @@ def test_number_field_rational_root_screen_is_fast():
             NumberField("u", minpoly)
 
 
+def test_number_field_rejects_degree_above_the_limit():
+    # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2) has no rational root
+    for minpoly in ((4, 0, 0, 0, 1), (-2, 0, 0, 0, 1), (1, 1, 1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="limit %d" % MAX_FIELD_DEGREE):
+            NumberField("w", minpoly)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_number_field_accepts_exactly_the_irreducible_polynomials(seed):
+    # oracle: for degree <= 3 NumberField accepts m exactly when sympy finds
+    # m irreducible over Q
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(9100 + seed)
+    verdicts = set()
+    for _ in range(60):
+        degree = rng.randint(1, MAX_FIELD_DEGREE)
+        minpoly = tuple(rng.randint(-6, 6) for _ in range(degree)) + (1,)
+        try:
+            NumberField("w", minpoly)
+            accepted = True
+        except ValueError:
+            accepted = False
+        irreducible = sympy.Poly(list(reversed(minpoly)), x).is_irreducible
+        assert accepted == irreducible, minpoly
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
+
+
 def test_rational_roots_hand_values():
     # 2 X^3 + 5 X^2 - 3 X = X (2X - 1)(X + 3)
     assert rational_roots((Q(0), Q(-3), Q(5), Q(2))) == [Q(-3), Q(0), Q(1, 2)]
@@ -330,6 +361,17 @@ def test_parse_polynomial_rejects_bad_syntax():
         parse_polynomial("X + ", variables=("X",))
     with pytest.raises(ValueError):
         parse_polynomial("X + Z", variables=("X", "Y"))
+
+
+def test_parse_polynomial_rejects_a_power_above_the_degree_cap_fast():
+    # the cap is checked before a power is expanded, so each rejection is immediate
+    for text in ("(X+1)^2000", "((X+1)^8)^9", "2^(10^10)", "X^%d" % (MAX_PARSE_DEGREE + 1)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="limit %d" % MAX_PARSE_DEGREE):
+            parse_polynomial(text)
+        assert time.perf_counter() - start < 0.1, text
+    assert parse_polynomial("X^%d" % MAX_PARSE_DEGREE).degree() == MAX_PARSE_DEGREE
+    assert parse_polynomial("(X*Y)^8 - 2^6").degree() == 16
 
 
 def test_parse_polynomial_rationals():
