@@ -424,7 +424,7 @@ def infer_structure_constants(model: ChevalleyModel,
         for i, j, gamma in string.terms:
             p, q, c = model._entries(gamma)[0]
             x = lhs.entry(p, q) if ring is None else lhs.entry(p, q).coeff(0)
-            n = Fraction(x.coefficient({"s0": i, "t0": j}), c)
+            n = x.coefficient({"s0": i, "t0": j}) / c
             if n not in (1, -1, 2, -2):
                 raise ModelInconsistencyError("pair (%r, %r) reads N_%d%d = %s, not +-1 or +-2"
                                               % (alpha, beta, i, j, n))

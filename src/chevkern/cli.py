@@ -383,7 +383,7 @@ def run_extensions(report: Report, cfg, rng):
         if check is None:
             report.add(name, True, verdict="maximal ideal not principal", **detail)
         else:
-            report.add(name, check.ok, reassembled=str(check.sum_algebra), **detail)
+            report.add(name, check.ok, reassembled=" (+) ".join(map(repr, check.factors)), **detail)
 
 
 def run_derivations(report: Report, cfg, rng):

@@ -346,12 +346,9 @@ def _univariate_int_coeffs(p: MultiPoly, name: str) -> tuple:
     coeffs = []
     for k in range(degree + 1):
         c = p.coefficient({name: k})
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ProblemFormatError("minimal polynomial must have integer "
-                                         "coefficients")
-            c = c.numerator
-        coeffs.append(int(c))
+        if c.denominator != 1:
+            raise ProblemFormatError("minimal polynomial must have integer coefficients")
+        coeffs.append(c.numerator)
     return tuple(coeffs)
 
 

@@ -33,7 +33,7 @@ from .kernel import (
     row_reduce,
     rref,
 )
-from .rings import SumAlgebra, TruncAlgebra
+from .rings import TruncAlgebra
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ class CocycleExtension:
             val = (val,)
         if len(val) != self.center_dim:
             raise CocycleError("cocycle value has wrong length")
-        return tuple(Fraction(v) for v in val)
+        return tuple(v if type(v) is Fraction else Fraction(v) for v in val)
 
     def validate_cocycle(self, samples) -> bool:
         """Check c(g,h) + c(gh,k) = c(g,hk) + c(h,k) on the given triples."""
@@ -825,7 +825,7 @@ def decompose_algebra(algebra: FinDimAlgebra) -> DecompositionReport:
 
 @dataclass
 class ReassemblyCheck:
-    sum_algebra: SumAlgebra
+    factors: tuple[TruncAlgebra, ...]
     ok: bool
     checked_products: int
 
@@ -833,18 +833,18 @@ class ReassemblyCheck:
 def reassemble(report: DecompositionReport) -> ReassemblyCheck:
     """Rebuild a sum of truncated rings and verify the isomorphism on products.
 
-    Only available when every factor is principal.  The factor bases
+    Only available when every factor is principal.  An element of the sum is
+    the tuple of its components, one per factor.  The factor bases
     (e, g, g^2, ...) map to (1, e, e^2, ...) of K[e]/(e^d); the induced linear
-    map is checked to be multiplicative on all basis pairs and to preserve
-    the unit.  Factor bases that are not a basis of the algebra raise
-    ArithmeticError.
+    map is checked to be multiplicative on all basis pairs, componentwise,
+    and to preserve the unit.  Factor bases that are not a basis of the
+    algebra raise ArithmeticError.
     """
     if not report.all_principal:
         raise ValueError("reassembly needs all factors principal")
     algebra = report.algebra
     n = algebra.dim
-    factors = [TruncAlgebra(f.trunc_order) for f in report.factors]
-    target = SumAlgebra(factors)
+    factors = tuple(TruncAlgebra(f.trunc_order) for f in report.factors)
     new_basis = [v for f in report.factors for v in f.basis]
     if len(new_basis) != n:
         raise ArithmeticError("factor bases have %d vectors, not %d" % (len(new_basis), n))
@@ -857,14 +857,14 @@ def reassemble(report: DecompositionReport) -> ReassemblyCheck:
 
     def phi(vec):
         coords = [sum(a * b for a, b in zip(row, vec) if b) for row in rows]
-        return target.element([g.element(coords[off:off + g.d]) for g, off in offsets])
+        return tuple(g.element(coords[off:off + g.d]) for g, off in offsets)
 
     images = [phi(algebra.basis_vector(i)) for i in range(n)]
     checked = 0
-    ok = phi(algebra.unit) == target.one()
+    ok = phi(algebra.unit) == tuple(g.one() for g in factors)
     for i in range(n):
         for j in range(n):
-            if phi(algebra.tensor[i][j]) != images[i] * images[j]:
+            if phi(algebra.tensor[i][j]) != tuple(a * b for a, b in zip(images[i], images[j])):
                 ok = False
             checked += 1
-    return ReassemblyCheck(sum_algebra=target, ok=ok, checked_products=checked)
+    return ReassemblyCheck(factors=factors, ok=ok, checked_products=checked)

@@ -465,7 +465,7 @@ class MultiPoly:
         for v in monomial:
             if v not in self.variables and monomial[v] != 0:
                 return Fraction(0)
-        return self.terms.get(e, Fraction(0))
+        return Fraction(self.terms.get(e, 0))
 
     def derivative(self, var: str) -> "MultiPoly":
         if var not in self.variables:
@@ -632,7 +632,7 @@ def ring_of(x):
     A descriptor has ``zero()``, ``one()``, ``coerce(c)`` for a rational c,
     ``inv(x)`` and ``is_field()``, and is its own identity: two elements
     share a domain exactly when their descriptors are equal.  QQ, PolyDomain,
-    NumberField, TruncAlgebra and SumAlgebra implement it.
+    NumberField and TruncAlgebra implement it.
     """
     if isinstance(x, (Fraction, int)):
         return QQ
@@ -985,7 +985,7 @@ def rref(m: Matrix):
 
 
 # ring descriptors ---------------------------------------------------------
-# NumberField above and TruncAlgebra, SumAlgebra in ``rings`` are the others.
+# NumberField above and TruncAlgebra in ``rings`` are the others.
 
 class RationalDomain:
     """Descriptor for the base field Q."""

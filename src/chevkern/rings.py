@@ -259,117 +259,6 @@ class TruncElement:
 
 
 # ---------------------------------------------------------------------------
-# direct sums
-
-class SumAlgebra:
-    """Finite direct sum of truncated algebras, componentwise operations."""
-
-    def __init__(self, factors: Sequence[TruncAlgebra]):
-        if not factors:
-            raise ValueError("a direct sum needs at least one factor")
-        self.factors = tuple(factors)
-
-    def element(self, components: Sequence[TruncElement]) -> "SumElement":
-        comps = tuple(components)
-        if len(comps) != len(self.factors):
-            raise ValueError("expected %d components" % len(self.factors))
-        for c, f in zip(comps, self.factors):
-            if not isinstance(c, TruncElement) or c.algebra != f:
-                raise DomainMismatchError("component does not match factor %s" % (f,))
-        return SumElement(self, comps)
-
-    def coerce(self, c) -> "SumElement":
-        return SumElement(self, tuple(f.coerce(c) for f in self.factors))
-
-    def zero(self) -> "SumElement":
-        return self.coerce(0)
-
-    def one(self) -> "SumElement":
-        return self.coerce(1)
-
-    def inv(self, x: "SumElement") -> "SumElement":
-        return x.inverse()
-
-    def is_field(self):
-        return False
-
-    def __eq__(self, other):
-        return isinstance(other, SumAlgebra) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(("SumAlgebra", self.factors))
-
-    def __repr__(self):
-        return " (+) ".join(repr(f) for f in self.factors)
-
-
-class SumElement:
-    __slots__ = ("algebra", "components")
-
-    def __init__(self, algebra: SumAlgebra, components: tuple):
-        self.algebra = algebra
-        self.components = components
-
-    @property
-    def ring(self) -> SumAlgebra:
-        return self.algebra
-
-    def _check(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.algebra.coerce(other)
-        if not isinstance(other, SumElement) or other.algebra != self.algebra:
-            raise DomainMismatchError("direct-sum elements from different algebras")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return SumElement(self.algebra, tuple(a + b for a, b in
-                                              zip(self.components, other.components)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return SumElement(self.algebra, tuple(a - b for a, b in
-                                              zip(self.components, other.components)))
-
-    def __neg__(self):
-        return SumElement(self.algebra, tuple(-a for a in self.components))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return SumElement(self.algebra, tuple(a * b for a, b in
-                                              zip(self.components, other.components)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return SumElement(self.algebra, tuple(a ** n for a in self.components))
-
-    def inverse(self) -> "SumElement":
-        return SumElement(self.algebra, tuple(a.inverse() for a in self.components))
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.components)
-
-    def is_unit(self) -> bool:
-        return all(a.is_unit() for a in self.components)
-
-    def __eq__(self, other):
-        try:
-            other = self._check(other)
-        except DomainMismatchError:
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash((self.algebra, self.components))
-
-    def __repr__(self):
-        return "(" + " | ".join(str(c) for c in self.components) + ")"
-
-
-# ---------------------------------------------------------------------------
 # ring homomorphisms out of polynomial rings
 
 class RelationNotPreservedError(ValueError):

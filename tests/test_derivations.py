@@ -226,3 +226,38 @@ def test_parse_problem_rejects_contradictory_declarations(text, old, new):
     # a repeated declaration is an error naming its line, not an override
     with pytest.raises(ProblemFormatError, match=re.escape(new.split("\n")[-1])):
         parse_problem(text.replace(old, new))
+
+
+# --- der_dim against the rank of sympy's Jacobian ----------------------------
+
+# plane curves with a rational parametrization t -> (X, Y)
+PARAMETRIZED_CURVES = {
+    "cusp": ("X**3 - Y**2", lambda t: (t * t, t ** 3)),
+    "circle": ("X**2 + Y**2 - 1", lambda t: ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))),
+    "line": ("X + Y - 3", lambda t: (t, 3 - t)),
+    "node": ("Y**2 - X**2*(X + 1)", lambda t: (t * t - 1, t * (t * t - 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETRIZED_CURVES))
+def test_der_dim_matches_sympy_jacobian_rank(name):
+    sympy = pytest.importorskip("sympy")
+    relation, param = PARAMETRIZED_CURVES[name]
+    alg = PresentedAlgebra(BaseRing("rational"), ("X", "Y"), (parse_polynomial(relation),))
+    sx, sy = sympy.symbols("X Y")
+    jacobian = sympy.Matrix([sympy.sympify(relation)]).jacobian([sx, sy])
+    rng = random.Random(name)
+    # t = 0 is the cusp, t = +-1 the node's double point
+    params = [Fraction(0), Fraction(1), Fraction(-1)] + [
+        Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(12)]
+    dims = set()
+    for t in params:
+        x, y = param(t)
+        at = {sx: sympy.Rational(x.numerator, x.denominator),
+              sy: sympy.Rational(y.numerator, y.denominator)}
+        rank = jacobian.subs(at).rank()
+        dim = der_dim(alg, {"X": x, "Y": y}, mode="relative").dim
+        assert dim == len(alg.variables) - rank, (name, t)
+        dims.add(dim)
+    # the singular curves reach their singular point, the smooth ones never do
+    assert dims == ({1, 2} if name in ("cusp", "node") else {1})

@@ -18,7 +18,6 @@ from chevkern.rings import (
     OneMinusFactorization,
     RelationNotPreservedError,
     RingHom,
-    SumAlgebra,
     TruncAlgebra,
     TruncElement,
     expand_unit_product,
@@ -194,26 +193,6 @@ def test_trunc_matrix_inverse_geometric():
     assert (inv * m).is_identity()
 
 
-# --- direct sums ---------------------------------------------------------------
-
-def test_sum_algebra_componentwise():
-    S = SumAlgebra([TruncAlgebra(3), TruncAlgebra(1)])
-    x = S.element([TruncAlgebra(3).element([1, 1, 0]), TruncAlgebra(1).element([2])])
-    y = x * x
-    assert y.components[0] == TruncAlgebra(3).element([1, 2, 1])
-    assert y.components[1] == TruncAlgebra(1).element([4])
-    assert x.is_unit()
-    assert (x * x.inverse()) == S.one()
-
-
-def test_sum_algebra_zero_divisors():
-    S = SumAlgebra([TruncAlgebra(1), TruncAlgebra(1)])
-    a = S.element([TruncAlgebra(1).one(), TruncAlgebra(1).zero()])
-    b = S.element([TruncAlgebra(1).zero(), TruncAlgebra(1).one()])
-    assert (a * b).is_zero()
-    assert not a.is_unit()
-
-
 # --- ring homomorphisms ----------------------------------------------------------
 
 def test_ring_hom_into_trunc():
@@ -248,15 +227,6 @@ def test_ring_hom_relation_check():
     RingHom(["X"], {"X": A.eps()}, relations=["X^3"])
     with pytest.raises(RelationNotPreservedError):
         RingHom(["X"], {"X": A.eps()}, relations=["X^2"])
-
-
-def test_ring_hom_into_sum_quotient():
-    # Q[X]/(X^3 (X-1)) maps onto K[e]/(e^3) (+) K with X -> (e, 1)
-    F1, F2 = TruncAlgebra(3), TruncAlgebra(1)
-    S = SumAlgebra([F1, F2])
-    image = S.element([F1.eps(), F2.one()])
-    h = RingHom(["X"], {"X": image}, relations=["X^3 * (X - 1)"])
-    assert h.apply("X^2") == S.element([F1.eps(2), F2.one()])
 
 
 # --- unit-group witnesses --------------------------------------------------------
