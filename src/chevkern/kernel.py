@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import ast
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 
@@ -375,12 +376,21 @@ class MultiPoly:
 
     # -- alignment -----------------------------------------------------------
 
+    @staticmethod
+    def _canonical(variables: tuple, terms: dict) -> "MultiPoly":
+        """A result whose terms are canonical already: no zero, no integral Fraction."""
+        p = object.__new__(MultiPoly)
+        p.variables = variables
+        p.terms = terms
+        return p
+
     def _aligned(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other, self.variables)
-        if not isinstance(other, MultiPoly):
-            raise DomainMismatchError(
-                "cannot combine polynomial with %s" % type(other).__name__)
+        if type(other) is not MultiPoly:
+            if isinstance(other, (int, Fraction)):
+                return self, MultiPoly.constant(other, self.variables)
+            if not isinstance(other, MultiPoly):
+                raise DomainMismatchError(
+                    "cannot combine polynomial with %s" % type(other).__name__)
         if self.variables == other.variables:
             return self, other
         merged = tuple(dict.fromkeys(self.variables + other.variables))
@@ -396,7 +406,7 @@ class MultiPoly:
             for p, k in zip(pos, e):
                 ne[p] = k
             terms[tuple(ne)] = c
-        return MultiPoly(merged, terms)
+        return MultiPoly._canonical(merged, terms)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -404,12 +414,14 @@ class MultiPoly:
         a, b = self._aligned(other)
         terms = dict(a.terms)
         for e, c in b.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
+            s = terms.get(e, 0) + c
+            if not s:
+                del terms[e]
+            elif type(s) is Fraction and s.denominator == 1:
+                terms[e] = s.numerator
             else:
                 terms[e] = s
-        return MultiPoly(a.variables, terms)
+        return MultiPoly._canonical(a.variables, terms)
 
     __radd__ = __add__
 
@@ -420,21 +432,15 @@ class MultiPoly:
         return (-self) + other
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._canonical(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         a, b = self._aligned(other)
-        if not a.terms or not b.terms:
-            return MultiPoly(a.variables, {})
         terms = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
         return MultiPoly(a.variables, terms)
 
     __rmul__ = __mul__
@@ -481,9 +487,7 @@ class MultiPoly:
         return MultiPoly(self.variables, terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other, self.variables)
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, (MultiPoly, int, Fraction)):
             return NotImplemented
         a, b = self._aligned(other)
         return a.terms == b.terms
@@ -566,6 +570,8 @@ def poly_eval(p: MultiPoly, point: dict):
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Pow, ast.Div)
 # the largest total degree a parsed power may expand to
 MAX_PARSE_DEGREE = 64
+# the most terms a parsed power or product may expand to
+MAX_PARSE_TERMS = 1024
 
 
 def parse_polynomial(text: str, variables=None) -> MultiPoly:
@@ -589,6 +595,10 @@ def parse_polynomial(text: str, variables=None) -> MultiPoly:
             if isinstance(node.op, ast.Sub):
                 return left - right
             if isinstance(node.op, ast.Mult):
+                terms = len(left.terms) * len(right.terms)
+                if terms > MAX_PARSE_TERMS:
+                    raise ValueError("product of %d terms exceeds the limit %d in %r"
+                                     % (terms, MAX_PARSE_TERMS, text))
                 return left * right
             if isinstance(node.op, ast.Pow):
                 if not isinstance(right, MultiPoly) or not right.is_constant():
@@ -601,6 +611,13 @@ def parse_polynomial(text: str, variables=None) -> MultiPoly:
                 if degree > MAX_PARSE_DEGREE:
                     raise ValueError("power of degree %d exceeds the limit %d in %r"
                                      % (degree, MAX_PARSE_DEGREE, text))
+                # p^n has at most as many terms as there are monomials of
+                # degree n in k = len(p.terms) variables
+                k = len(left.terms)
+                terms = comb(int(n) + k - 1, k - 1) if k else 0
+                if terms > MAX_PARSE_TERMS:
+                    raise ValueError("power of up to %d terms exceeds the limit %d in %r"
+                                     % (terms, MAX_PARSE_TERMS, text))
                 return left ** int(n)
             # division: by a nonzero constant only
             if not isinstance(right, MultiPoly) or not right.is_constant():
@@ -670,14 +687,21 @@ def ring_inv(x):
 
 
 def ring_pow(x, n: int):
-    """x**n by repeated squaring; a negative n inverts x through ring_inv first."""
+    """x**n by right-to-left binary powering: floor(lg n) squarings and
+    popcount(n) - 1 further products; a negative n inverts x through ring_inv first."""
     if n < 0:
         x, n = ring_inv(x), -n
-    result = one_like(x)
+    if n == 0:
+        return one_like(x)
+    while not n & 1:
+        x = x * x
+        n >>= 1
+    result = x
+    n >>= 1
     while n:
+        x = x * x
         if n & 1:
             result = result * x
-        x = x * x
         n >>= 1
     return result
 

@@ -142,6 +142,8 @@ class TruncElement:
                 "elements of %s and %s do not mix" % (self.algebra, other.algebra))
 
     def _lift(self, other):
+        if type(other) is TruncElement:
+            return other
         if isinstance(other, (int, Fraction)):
             return self.algebra.coerce(other)
         if isinstance(other, MultiPoly) and isinstance(self.algebra.base, PolyDomain):
@@ -172,8 +174,8 @@ class TruncElement:
         other = self._lift(other)
         self._check(other)
         d = self.algebra.d
-        zero = self.algebra.base.zero()
-        out = [zero] * d
+        # each slot starts at its first product; slots with none are zero
+        out = [None] * d
         for i, a in enumerate(self.coeffs):
             if is_zero(a):
                 continue
@@ -181,8 +183,11 @@ class TruncElement:
                 b = other.coeffs[j]
                 if is_zero(b):
                     continue
-                out[i + j] = out[i + j] + a * b
-        return TruncElement(self.algebra, tuple(out))
+                k = i + j
+                out[k] = a * b if out[k] is None else out[k] + a * b
+        base = self.algebra.base
+        return TruncElement(self.algebra,
+                            tuple(base.zero() if c is None else c for c in out))
 
     __rmul__ = __mul__
 

@@ -7,6 +7,7 @@ import pytest
 from chevkern.kernel import (
     MAX_FIELD_DEGREE,
     MAX_PARSE_DEGREE,
+    MAX_PARSE_TERMS,
     DomainMismatchError,
     Matrix,
     MultiPoly,
@@ -25,6 +26,7 @@ from chevkern.kernel import (
     rational_roots,
     ring_inv,
     ring_of,
+    ring_pow,
     row_reduce,
     rref,
     scalar_into,
@@ -379,6 +381,21 @@ def test_parse_polynomial_rejects_a_power_above_the_degree_cap_fast():
     assert parse_polynomial("(X*Y)^8 - 2^6").degree() == 16
 
 
+def test_parse_polynomial_rejects_a_power_or_product_above_the_term_limit_fast():
+    # the bound is checked before expanding: a power of a k-term polynomial
+    # has at most C(n + k - 1, k - 1) terms, a product at most len(a) * len(b)
+    for text in ("(X+Y+Z)^64", "(X+Y+Z+W)^30", "(X+Y+Z+W+V)^12*(X+Y+Z+W+V)^12",
+                 "(X+Y+Z+W+V)^6*(X+Y+Z+W+V)^4"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="limit %d" % MAX_PARSE_TERMS):
+            parse_polynomial(text)
+        assert time.perf_counter() - start < 0.1, text
+    # the largest powers of X + Y + Z and of five variables under the limit
+    assert len(parse_polynomial("(X+Y+Z)^43").terms) == 990
+    assert len(parse_polynomial("(X+Y+Z+W+V)^10").terms) == 1001
+    assert parse_polynomial("(X-X)^5 + 0^0") == 1
+
+
 def test_parse_polynomial_rationals():
     p = parse_polynomial("X/2 + 1/3")
     assert poly_eval(p, {"X": Q(1)}) == Q(5, 6)
@@ -641,3 +658,37 @@ def test_ring_protocol_on_ints_and_non_elements():
     for helper in (domain_key, zero_like, ring_inv, as_ring_element):
         with pytest.raises(DomainMismatchError):
             helper(object())
+
+
+class _Counted:
+    """An integer that counts the products it takes part in."""
+
+    products = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(self.value * other.value)
+
+
+class _CountedIntegers:
+    """The descriptor of ``_Counted``, enough for ``one_like``."""
+
+    def one(self):
+        return _Counted(1)
+
+
+_Counted.ring = _CountedIntegers()
+
+
+def test_ring_pow_squares_only_while_bits_remain():
+    # right-to-left binary powering: floor(lg n) squarings plus
+    # popcount(n) - 1 products into the result
+    for n in range(1, 65):
+        _Counted.products = 0
+        assert ring_pow(_Counted(3), n).value == 3 ** n
+        assert _Counted.products == n.bit_length() - 1 + bin(n).count("1") - 1, n
+    _Counted.products = 0
+    assert ring_pow(_Counted(3), 0).value == 1 and _Counted.products == 0
