@@ -297,13 +297,10 @@ class StructureConstants:
             raise KeyError("no constant recorded for %s" % (key,))
         return self.table[key]
 
-    def items_sorted(self):
-        return sorted(self.table.items())
-
     def to_lines(self):
         lines = ["# structure constants for %s" % self.kind,
                  "# alpha beta i j N"]
-        for (ac, bc, i, j), n in self.items_sorted():
+        for (ac, bc, i, j), n in sorted(self.table.items()):
             lines.append("%s %s %d %d %d" % (
                 ",".join(str(c) for c in ac), ",".join(str(c) for c in bc), i, j, n))
         return lines
@@ -324,30 +321,16 @@ class StructureConstants:
     def save(self, path):
         Path(path).write_text("\n".join(self.to_lines()) + "\n")
 
-    @staticmethod
-    def load(path) -> "StructureConstants":
-        text = Path(path).read_text()
-        kind = "?"
-        for line in text.splitlines():
-            if line.startswith("# structure constants for "):
-                kind = line.rsplit(" ", 1)[1]
-                break
-        return StructureConstants.from_lines(kind, text.splitlines())
-
     def __eq__(self, other):
         return (isinstance(other, StructureConstants)
                 and self.kind == other.kind and self.table == other.table)
 
 
-def builtin_constants_path(kind: str) -> Path:
-    return _DATA_DIR / ("structure_constants_%s.txt" % kind.upper())
-
-
 def load_structure_constants(kind: str) -> StructureConstants:
-    path = builtin_constants_path(kind)
+    path = _DATA_DIR / ("structure_constants_%s.txt" % kind.upper())
     if not path.exists():
         raise FileNotFoundError("no frozen constants for %s" % kind)
-    return StructureConstants.load(path)
+    return StructureConstants.from_lines(kind.upper(), path.read_text().splitlines())
 
 
 def ordered_root_pairs(system: RootSystem):
@@ -539,9 +522,6 @@ def congruence_dimension(model: ChevalleyModel, d: int) -> FiltrationReport:
 class PerfectnessWitness:
     alpha: Root
     s: Fraction
-    torus: GroupElement
-    inner: GroupElement
-    target: GroupElement
     ok: bool
 
 
@@ -560,11 +540,8 @@ def perfectness_witness(model: ChevalleyModel, alpha: Root, r, s=Fraction(2)) ->
         raise ValueError("scaling unit s must satisfy s != 0 and s^2 != 1")
     inner_param = r * scalar_into(Fraction(1) / denom, r)
     torus_letters = h_letters(alpha, scalar_into(s, r))
-    torus = model.word(torus_letters)
-    inner = model.e(alpha, inner_param)
-    target = model.e(alpha, r)
     got = model.word(torus_letters + ((alpha, inner_param),)
                      + tuple((beta, -u) for beta, u in reversed(torus_letters))
                      + ((alpha, -inner_param),))
-    return PerfectnessWitness(alpha=alpha, s=s, torus=torus, inner=inner,
-                              target=target, ok=(got.matrix == target.matrix))
+    return PerfectnessWitness(alpha=alpha, s=s,
+                              ok=(got.matrix == model.e(alpha, r).matrix))

@@ -133,10 +133,6 @@ class DerivationReport:
     dim: int
     tangent_basis: tuple
 
-    def __str__(self):
-        return "derivations (%s) at columns %s: dim %d" % (
-            self.mode, "/".join(self.columns), self.dim)
-
 
 def der_dim(algebra: PresentedAlgebra, point: dict,
             mode: str = "relative") -> DerivationReport:
@@ -205,22 +201,14 @@ def number_ring_rigidity(base: BaseRing) -> RigidityReport:
         raise ValueError("rigidity applies to number ring bases")
     algebra = PresentedAlgebra(base, (), ())
     report = der_dim(algebra, {}, mode="absolute")
-    field = algebra.field
-    deriv = base.minimal_polynomial().derivative(base.generator)
-    value = poly_eval(deriv, {base.generator: field.generator()})
-    return RigidityReport(rigid=(report.dim == 0), derivative_value=value,
+    # the Jacobian's one row and column: m'(w) at the generator
+    return RigidityReport(rigid=(report.dim == 0),
+                          derivative_value=report.jacobian.entry(0, 0),
                           absolute_dim=report.dim)
 
 
 @dataclass
-class ScanEntry:
-    point: dict
-    dim: int
-
-
-@dataclass
 class SmoothnessScan:
-    entries: list
     min_dim: int
     flagged: list  # points whose derivation space jumps above the minimum
 
@@ -228,13 +216,12 @@ class SmoothnessScan:
 def smoothness_scan(algebra: PresentedAlgebra, points: Sequence[dict],
                     mode: str = "relative") -> SmoothnessScan:
     """Compare derivation dimensions across points; jumps mark singularities."""
-    entries = [ScanEntry(point=dict(p), dim=der_dim(algebra, p, mode=mode).dim)
-               for p in points]
-    if not entries:
+    dims = [der_dim(algebra, p, mode=mode).dim for p in points]
+    if not dims:
         raise ValueError("need at least one point")
-    min_dim = min(e.dim for e in entries)
-    flagged = [e.point for e in entries if e.dim > min_dim]
-    return SmoothnessScan(entries=entries, min_dim=min_dim, flagged=flagged)
+    min_dim = min(dims)
+    flagged = [dict(p) for p, dim in zip(points, dims) if dim > min_dim]
+    return SmoothnessScan(min_dim=min_dim, flagged=flagged)
 
 
 def localize(algebra: PresentedAlgebra, h: MultiPoly,

@@ -27,6 +27,7 @@ from .kernel import (
     SingularMatrixError,
     pdivmod,
     pmul,
+    psquarefree,
     ptrim,
     pxgcd,
     rational_roots,
@@ -720,8 +721,7 @@ def _split_block(algebra: FinDimAlgebra, e, indices):
     """
     for k in indices:
         poly, powers = _minpoly_on_block(algebra, e, algebra.basis_vector(k))
-        g = pxgcd(poly, tuple(i * c for i, c in enumerate(poly))[1:])[0]
-        squarefree = pdivmod(poly, tuple(c / g[-1] for c in g))[0]
+        squarefree = psquarefree(poly)
         if len(squarefree) <= 2:
             continue
         roots = rational_roots(squarefree)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 from fractions import Fraction
+from itertools import count
 from math import comb, lcm
 from operator import add
 from typing import Iterable, Sequence
@@ -113,39 +114,66 @@ def peval(a, x):
     return acc
 
 
+def is_prime(p: int) -> bool:
+    """Primality by trial division up to the square root."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def psquarefree(a):
+    """The squarefree part a / gcd(a, a') of a nonconstant polynomial."""
+    g, r = a, tuple(i * c for i, c in enumerate(a))[1:]
+    while r:
+        g, r = r, pdivmod(g, r)[1]
+    return pdivmod(a, tuple(c / g[-1] for c in g))[0]
+
+
+def _horner_mod(cs, x, m):
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
 def rational_roots(poly):
     """All rational roots of a polynomial with Fraction coefficients, sorted.
 
-    A root p/q in lowest terms has p dividing the lowest nonzero and q the
-    leading coefficient of the integer multiple of ``poly``; divisors are
-    found by trial division up to the square root.
+    In time polynomial in the bit size (Cohen, GTM 138, 3.5-3.6): the
+    squarefree part f, cleared of denominators with leading coefficient a,
+    scales to the monic g(Y) = a^(n-1) f(Y/a), whose integer roots a*x, x a
+    root of f, lie below the Cauchy bound B.  Each root of g modulo the first
+    prime p where all are simple lifts by Newton's iteration modulo p^k > 2B
+    to the one integer root it can be, kept if it is one.
     """
     poly = ptrim(poly)
     if len(poly) <= 1:
         return []
-    denom = lcm(*[c.denominator for c in poly])
-    ints = [int(c * denom) for c in poly]
+    f = psquarefree(poly)
+    denom = lcm(*[c.denominator for c in f])
+    ints = [int(c * denom) for c in f]
+    n, a = len(ints) - 1, ints[-1]
+    g = [c * a ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    dg = [i * c for i, c in enumerate(g)][1:]
+    bound = 1 + max(abs(c) for c in g[:-1])
+    for p in filter(is_prime, count(2)):
+        residues = [r for r in range(p) if _horner_mod(g, r, p) == 0]
+        if all(_horner_mod(dg, r, p) for r in residues):
+            break
     roots = []
-    if ints[0] == 0:
-        roots.append(Fraction(0))
-        while ints[0] == 0:
-            ints = ints[1:]
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(m):
-        out = set()
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.update((d, m // d))
-            d += 1
-        return sorted(out)
-
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and peval(poly, cand) == 0:
-                    roots.append(cand)
+    for r in residues:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _horner_mod(g, r, m) * pow(_horner_mod(dg, r, m), -1, m)) % m
+        x = Fraction(r if 2 * r <= m else r - m, a)
+        if peval(f, x) == 0:
+            roots.append(x)
     return sorted(roots)
 
 

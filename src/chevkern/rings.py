@@ -77,23 +77,11 @@ class TruncAlgebra:
                              for k in range(self.d)])
 
     def parse(self, text: str) -> "TruncElement":
-        """Parse ``x0 + x1*e + x2*e^2`` style text into an element."""
-        # over a polynomial base, free names become base polynomial variables
-        names = None if isinstance(self.base, PolyDomain) else ("e",)
-        p = parse_polynomial(text, variables=names)
-        coeffs = [self._coerce_coeff(_coefficient_in(p, "e", k)) for k in range(self.d)]
-        # reject terms of order >= d
-        for e, _ in p.terms.items():
-            if "e" in p.variables and e[p.variables.index("e")] >= self.d:
-                raise ValueError("term of order >= %d in %r" % (self.d, text))
-        return self.element(coeffs)
-
-    def _coerce_coeff(self, q: MultiPoly):
-        if isinstance(self.base, PolyDomain):
-            return q
-        if q.is_constant():
-            return self.base.coerce(q.constant_value())
-        raise ValueError("coefficient %s is not a base-domain value" % q)
+        """Read back ``x0 + x1*e + x2*e^2`` with rational x_k, as ``str`` writes it."""
+        p = parse_polynomial(text, variables=("e",))
+        if p.degree() >= self.d:
+            raise ValueError("term of order >= %d in %r" % (self.d, text))
+        return self.element([p.coefficient({"e": k}) for k in range(self.d)])
 
     def __eq__(self, other):
         return (isinstance(other, TruncAlgebra)
@@ -104,20 +92,6 @@ class TruncAlgebra:
 
     def __repr__(self):
         return "%s[e]/(e^%d)" % (self.base, self.d)
-
-
-def _coefficient_in(p: MultiPoly, var: str, k: int) -> MultiPoly:
-    if var not in p.variables:
-        return p if k == 0 else MultiPoly(p.variables, {})
-    i = p.variables.index(var)
-    rest = tuple(v for v in p.variables if v != var)
-    terms = {}
-    for e, c in p.terms.items():
-        if e[i] != k:
-            continue
-        ne = tuple(x for j, x in enumerate(e) if j != i)
-        terms[ne] = terms.get(ne, Fraction(0)) + c
-    return MultiPoly(rest, terms)
 
 
 class TruncElement:

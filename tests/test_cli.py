@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -389,6 +390,15 @@ def test_exit_codes(tmp_path, args, code):
     except SystemExit as exc:  # argparse's usage errors
         got = exc.code
     assert got == code
+
+
+def test_prime_above_the_limit_exits_2_fast(tmp_path):
+    # 2147483659 is the next prime after MAX_PRIME = 2^31 - 1
+    for suite in ("symbols", "all"):
+        start = time.perf_counter()
+        assert cli.main([suite, "--prime", "2147483659",
+                         "--output", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 0.1
 
 
 def test_extensions_input_with_two_numbers_on_its_dim_line_exits_2(tmp_path):

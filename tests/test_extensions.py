@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -664,6 +665,15 @@ def test_decompose_irrational_residue_field():
         alg = FinDimAlgebra.from_univariate_quotient(coeffs)
         with pytest.raises(IdempotentLiftingError):
             decompose_algebra(alg)
+
+
+def test_decompose_irrational_residue_field_of_large_discriminant_is_fast():
+    # X^2 - pq for two 13-digit primes: the rational root search is bounded
+    p, q = 1000000000039, 1000000000061
+    start = time.perf_counter()
+    with pytest.raises(IdempotentLiftingError):
+        decompose_algebra(FinDimAlgebra.from_univariate_quotient([-p * q, 0, 1]))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_decompose_irrational_with_nilpotents():

@@ -22,6 +22,7 @@ from chevkern.kernel import (
     is_zero,
     one_like,
     parse_polynomial,
+    pmul,
     poly_eval,
     rational_roots,
     ring_inv,
@@ -202,7 +203,7 @@ def test_number_field_rejects_rational_root():
 
 
 def test_number_field_rational_root_screen_is_fast():
-    # the root search divides the constant term up to its square root only
+    # the root search costs polynomial time in the coefficients' bit size
     start = time.perf_counter()
     NumberField("w", (-100000007, 0, 1))
     assert time.perf_counter() - start < 0.1
@@ -246,6 +247,59 @@ def test_rational_roots_hand_values():
     assert rational_roots((Q(-2), Q(0), Q(1))) == []
     assert rational_roots((Q(1, 3), Q(1, 2))) == [Q(-2, 3)]
     assert rational_roots((Q(7),)) == []
+
+
+# 13-digit primes p, q: trial division up to sqrt(pq) never finished on X^2 - pq
+P13, Q13 = 1000000000039, 1000000000061
+
+
+def test_rational_roots_of_large_coefficients_are_fast():
+    cases = [
+        ((-P13 * Q13, 0, 1), []),
+        ((-1000003 * 1000033, 0, 1), []),
+        ((P13 * Q13, -(P13 + Q13), 1), [Q(P13), Q(Q13)]),
+        ((Q13, -P13), [Q(Q13, P13)]),
+    ]
+    for poly, roots in cases:
+        start = time.perf_counter()
+        assert rational_roots(tuple(Q(c) for c in poly)) == roots
+        assert time.perf_counter() - start < 0.1, poly
+    start = time.perf_counter()
+    NumberField("w", (-P13 * Q13, 0, 1))
+    assert time.perf_counter() - start < 0.1
+
+
+def _rational_roots_case(rng):
+    """c * prod (X - a/b)^m * q^k with q an irreducible quadratic, degree <= 11."""
+    quadratic = (Q(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6)),
+                 Q(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)), Q(1))
+    k = rng.randint(0, 2)
+    poly = (Q(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)),)
+    for _ in range(k):
+        poly = pmul(poly, quadratic)
+    while len(poly) < 12 and rng.random() < 0.8:
+        root = Q(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+        for _ in range(min(rng.randint(1, 3), 12 - len(poly))):
+            poly = pmul(poly, (-root, Q(1)))
+    return poly, quadratic, k
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_roots_match_sympy(seed):
+    # oracle: the linear factors of sympy's factorization over Q
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(4400 + seed)
+    for _ in range(12):
+        poly, quadratic, k = _rational_roots_case(rng)
+        if k and not sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                                 for c in reversed(quadratic)], x).is_irreducible:
+            continue
+        f = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                        for c in reversed(poly)], x, domain="QQ")
+        expected = sorted(Q(str(-g.nth(0) / g.nth(1))) for g, _ in f.factor_list()[1]
+                          if g.degree() == 1)
+        assert rational_roots(poly) == expected, poly
 
 
 def test_number_field_cross_field_mix_fails():

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from chevkern.kernel import (
+    MAX_PARSE_DEGREE,
     QQ,
     DomainMismatchError,
     Matrix,
@@ -173,6 +174,22 @@ def test_trunc_parse_replays_cli_samples():
     x = TruncAlgebra(3).element([Q(-7, 9), Q(-1, 2), Q(-3)])
     assert str(x) == "-7/9 + -1/2*e + -3*e^2"
     assert TruncAlgebra(3).parse(str(x)) == x
+
+
+def test_trunc_parse_reaches_the_parser_degree_limit():
+    # README promises replay for d up to 65: e^64 is the parser's top degree
+    rng = random.Random(65)
+    A = TruncAlgebra(MAX_PARSE_DEGREE + 1)
+    x = A.element([Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(A.d)])
+    assert A.parse(str(x)) == x
+    with pytest.raises(ValueError, match="limit %d" % MAX_PARSE_DEGREE):
+        TruncAlgebra(MAX_PARSE_DEGREE + 2).parse("1 + e^%d" % (MAX_PARSE_DEGREE + 1))
+
+
+def test_trunc_parse_over_a_polynomial_base_names_the_free_variable():
+    # parse reads what str writes over Q; a base variable is not e
+    with pytest.raises(ValueError, match="s0"):
+        TruncAlgebra(3, PolyDomain()).parse("s0 + e")
 
 
 def test_trunc_matrix_singular_determinant_is_eps():

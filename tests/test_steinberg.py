@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -7,6 +8,7 @@ from chevkern.chevalley import Matrix, build_model, h_letters, w_letters
 from chevkern.rings import TruncAlgebra
 from chevkern.rootsys import Root
 from chevkern.steinberg import (
+    MAX_PRIME,
     NONSYMPLECTIC_RELATIONS,
     SYMPLECTIC_RELATIONS,
     SteinbergWord,
@@ -166,6 +168,18 @@ def test_tame_symbol_rejects_bad_input():
     s = TameSymbol(5)
     with pytest.raises(ValueError):
         s(Q(0), Q(1))
+
+
+def test_tame_symbol_prime_is_bounded():
+    # trial division up to sqrt(p) stays fast up to MAX_PRIME; above it the
+    # prime is refused before any division
+    start = time.perf_counter()
+    assert TameSymbol(MAX_PRIME).p == 2 ** 31 - 1
+    assert time.perf_counter() - start < 0.05
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="limit %d" % MAX_PRIME):
+        TameSymbol(1000000000000000003)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_symplectic_relation_set():
