@@ -342,8 +342,6 @@ def ordered_root_pairs(system: RootSystem):
 
 @dataclass
 class CommutatorCheck:
-    alpha: Root
-    beta: Root
     ok: bool
     lhs: Matrix
     rhs: Matrix
@@ -367,8 +365,8 @@ def verify_commutator(model: ChevalleyModel, alpha: Root, beta: Root, s, t,
     used = tuple((i, j, constants.get(alpha, beta, i, j)) for i, j, _ in string.terms)
     rhs = model.word(_formula_letters(string, s, t, [n for _, _, n in used]),
                      like=one_like(s))
-    return CommutatorCheck(alpha=alpha, beta=beta, ok=(lhs.matrix == rhs.matrix),
-                           lhs=lhs.matrix, rhs=rhs.matrix, used=used)
+    return CommutatorCheck(ok=(lhs.matrix == rhs.matrix), lhs=lhs.matrix, rhs=rhs.matrix,
+                           used=used)
 
 
 def verify_additivity(model: ChevalleyModel, alpha: Root, s, t) -> bool:
@@ -520,8 +518,6 @@ def congruence_dimension(model: ChevalleyModel, d: int) -> FiltrationReport:
 
 @dataclass
 class PerfectnessWitness:
-    alpha: Root
-    s: Fraction
     ok: bool
 
 
@@ -543,5 +539,4 @@ def perfectness_witness(model: ChevalleyModel, alpha: Root, r, s=Fraction(2)) ->
     got = model.word(torus_letters + ((alpha, inner_param),)
                      + tuple((beta, -u) for beta, u in reversed(torus_letters))
                      + ((alpha, -inner_param),))
-    return PerfectnessWitness(alpha=alpha, s=s,
-                              ok=(got.matrix == model.e(alpha, r).matrix))
+    return PerfectnessWitness(ok=(got.matrix == model.e(alpha, r).matrix))

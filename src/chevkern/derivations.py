@@ -127,8 +127,6 @@ class PresentedAlgebra:
 
 @dataclass
 class DerivationReport:
-    mode: str
-    columns: tuple
     jacobian: Optional[Matrix]
     dim: int
     tangent_basis: tuple
@@ -152,8 +150,7 @@ def der_dim(algebra: PresentedAlgebra, point: dict,
         columns.append(algebra.base.generator)
         rel_polys.append(algebra.base.minimal_polynomial())
     if not columns:
-        return DerivationReport(mode=mode, columns=(), jacobian=None,
-                                dim=0, tangent_basis=())
+        return DerivationReport(jacobian=None, dim=0, tangent_basis=())
     rows = []
     for f in rel_polys:
         rows.append([poly_eval(f.derivative(x), full) for x in columns])
@@ -161,8 +158,7 @@ def der_dim(algebra: PresentedAlgebra, point: dict,
         rows.append([Fraction(0)] * len(columns))
     jac = Matrix.from_rows(rows)
     _, rank, nullspace = rref(jac)
-    return DerivationReport(mode=mode, columns=tuple(columns), jacobian=jac,
-                            dim=len(columns) - rank, tangent_basis=nullspace)
+    return DerivationReport(jacobian=jac, dim=len(columns) - rank, tangent_basis=nullspace)
 
 
 def apply_derivation(algebra: PresentedAlgebra, point: dict,

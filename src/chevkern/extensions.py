@@ -27,7 +27,6 @@ from .kernel import (
     SingularMatrixError,
     pdivmod,
     pmul,
-    psquarefree,
     ptrim,
     pxgcd,
     rational_roots,
@@ -355,8 +354,6 @@ def commutator_lift_invariance(ext: CocycleExtension, g, h,
 @dataclass
 class ProductSplittingReport:
     split: bool
-    phi_hom_checked: int
-    psi_checked: int
     witness: Optional[tuple] = None
     psi_additive_ok: Optional[bool] = None
     section_checked: int = 0
@@ -378,23 +375,19 @@ def product_splitting(ext: CocycleExtension, phi1: Callable, phi2: Callable,
     """
     mul = ext.ops.mul
     lift1, lift2 = functools.cache(phi1), functools.cache(phi2)
-    phi_checked = 0
     for lift, samples in ((lift1, samples1), (lift2, samples2)):
         for a in samples:
             for b in samples:
                 if lift(a) * lift(b) != lift(mul(a, b)):
                     raise ValueError("section is not a homomorphism at %r" % ((a, b),))
-                phi_checked += 1
 
     psi = functools.cache(lambda a, b: lift1(a).commutator(lift2(b)))
-    psi_checked = 0
     witness = None
     for a in samples1:
         for b in samples2:
             comm = psi(a, b)
             if comm.g != ext.ops.identity:
                 raise ValueError("factors do not commute downstairs at %r" % ((a, b),))
-            psi_checked += 1
             if witness is None and any(v != 0 for v in comm.z):
                 witness = (a, b, comm.z)
 
@@ -411,16 +404,12 @@ def product_splitting(ext: CocycleExtension, phi1: Callable, phi2: Callable,
                         != target(products1[i1][i2], products2[j1][j2])):
                     raise ValueError("merged section failed at %r" % ((a1, b1, a2, b2),))
                 section_checked += 1
-        return ProductSplittingReport(split=True, phi_hom_checked=phi_checked,
-                                      psi_checked=psi_checked,
-                                      section_checked=section_checked)
+        return ProductSplittingReport(split=True, section_checked=section_checked)
 
     # non-split: the obstruction must be additive in its second argument
     additive = all(psi(a, mul(b1, b2)).z == _tadd(psi(a, b1).z, psi(a, b2).z)
                    for a in samples1 for b1, b2 in itertools.product(samples2, repeat=2))
-    return ProductSplittingReport(split=False, phi_hom_checked=phi_checked,
-                                  psi_checked=psi_checked, witness=witness,
-                                  psi_additive_ok=additive)
+    return ProductSplittingReport(split=False, witness=witness, psi_additive_ok=additive)
 
 
 # ---------------------------------------------------------------------------
@@ -712,24 +701,23 @@ def _split_block(algebra: FinDimAlgebra, e, indices):
     """Split the idempotent e as E + (e - E) at a rational eigenvalue, or None.
 
     Each b_k, k in indices (the e b_k span eA), is tried as y.  The roots of
-    y's minimal polynomial on eA, read from its monic squarefree part
-    poly / gcd(poly, poly'), are the conjugates of e y's values in the
-    residue fields of eA.  A y with one root is a scalar modulo the radical;
-    a y with no rational root shows that no residue field of eA is Q (None).
-    Otherwise poly = P R with P = (t - lam)^m and R prime to it, and
-    sP + tR = 1 makes (tR)(y) idempotent: it is 1 mod P and 0 mod R.
+    y's minimal polynomial on eA are the conjugates of e y's values in the
+    residue fields of eA.  A y with no rational root shows that no residue
+    field of eA is Q (None).  Otherwise poly = P R with P = (t - lam)^m and R
+    prime to it.  A constant R makes y a scalar modulo the radical, and the
+    next b_k is tried; else sP + tR = 1 makes (tR)(y) idempotent: it is
+    1 mod P and 0 mod R.
     """
     for k in indices:
         poly, powers = _minpoly_on_block(algebra, e, algebra.basis_vector(k))
-        squarefree = psquarefree(poly)
-        if len(squarefree) <= 2:
-            continue
-        roots = rational_roots(squarefree)
+        roots = rational_roots(poly)
         if not roots:
             return None
         lin, part, rest = (-roots[0], Fraction(1)), (Fraction(1),), poly
         while not pdivmod(rest, lin)[1]:
             part, rest = pmul(part, lin), pdivmod(rest, lin)[0]
+        if len(rest) == 1:
+            continue
         g, _, t = pxgcd(part, rest)
         # deg tR < deg poly, so (tR)(y) is a combination of the powers
         idem = _combination([c / g[0] for c in pmul(t, rest)], powers)

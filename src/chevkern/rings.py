@@ -20,7 +20,6 @@ from .kernel import (
     PolyDomain,
     is_zero,
     parse_polynomial,
-    poly_eval,
     ring_pow,
 )
 
@@ -238,60 +237,14 @@ class TruncElement:
 
 
 # ---------------------------------------------------------------------------
-# ring homomorphisms out of polynomial rings
-
-class RelationNotPreservedError(ValueError):
-    """Raised when a declared source relation does not map to zero."""
-
-
-class RingHom:
-    """Evaluation homomorphism Q[g1, ..., gn] -> R given by generator images.
-
-    Optional relations (polynomials in the generators, e.g. defining
-    polynomials of ring generators) are checked to map to zero at
-    construction, so the map really factors through the quotient.  Values
-    are computed by ``kernel.poly_eval`` in the one domain of the images.
-    """
-
-    def __init__(self, generators: Sequence[str], images: dict, relations: Sequence = ()):
-        self.generators = tuple(generators)
-        self.images = dict(images)
-        for g in self.generators:
-            if g not in self.images:
-                raise ValueError("no image for generator %r" % g)
-        self.relations = tuple(
-            parse_polynomial(r, variables=self.generators) if isinstance(r, str) else r
-            for r in relations)
-        for r in self.relations:
-            img = self.apply(r)
-            if not is_zero(img):
-                raise RelationNotPreservedError(
-                    "relation %s maps to %s, not zero" % (r, img))
-
-    def apply(self, p):
-        if isinstance(p, str):
-            p = parse_polynomial(p, variables=self.generators)
-        # adding the zero polynomial in the generators binds every image, so
-        # even a constant lands in the target ring
-        return poly_eval(p + MultiPoly(self.generators, {}), self.images)
-
-
-# ---------------------------------------------------------------------------
 # unit-group structure
 
 @dataclass(frozen=True)
 class UnitWitness:
-    """Certificate that target = 1 + s1*delta + ... + s_{d-1}*delta^{d-1}.
-
-    ``poly_coeffs`` are descending coefficients of the monic polynomial
-    z^{d-1} - s1 z^{d-2} + ... + (-1)^{d-1} s_{d-1}; the s_k are the
-    elementary symmetric functions of its roots, so the target is the product
-    of (1 + u_i delta) over those roots.
-    """
+    """Certificate that target = 1 + s1*delta + ... + s_{d-1}*delta^{d-1}."""
 
     delta: TruncElement
     symmetric: tuple
-    poly_coeffs: tuple
 
 
 def unit_group_witness(x: TruncElement, target: TruncElement) -> UnitWitness:
@@ -332,12 +285,7 @@ def unit_group_witness(x: TruncElement, target: TruncElement) -> UnitWitness:
         total = total + powers[k] * algebra.element([s])
     if total != target:
         raise ArithmeticError("witness re-expansion failed: %s != %s" % (total, target))
-    coeffs = [one]
-    sign = -1
-    for s in symmetric:
-        coeffs.append(s if sign > 0 else -s)
-        sign = -sign
-    return UnitWitness(delta=delta, symmetric=tuple(symmetric), poly_coeffs=tuple(coeffs))
+    return UnitWitness(delta=delta, symmetric=tuple(symmetric))
 
 
 def expand_unit_product(delta: TruncElement, us: Sequence) -> TruncElement:

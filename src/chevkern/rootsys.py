@@ -101,8 +101,6 @@ class RootString:
     which commutator products are taken.
     """
 
-    alpha: Root
-    beta: Root
     terms: tuple  # of (i, j, Root)
 
 
@@ -119,4 +117,4 @@ def root_string(system: RootSystem, alpha: Root, beta: Root) -> RootString:
             if system.contains(cand):
                 found.append((i, j, cand))
     found.sort(key=lambda t: (t[0] + t[1], t[0]))
-    return RootString(alpha=alpha, beta=beta, terms=tuple(found))
+    return RootString(terms=tuple(found))

@@ -102,9 +102,6 @@ def word_eval(word: SteinbergWord, model: ChevalleyModel, like=None) -> GroupEle
 
 @dataclass
 class SymbolCheck:
-    alpha: Root
-    u: object
-    v: object
     ok: bool
     evaluated: GroupElement
 
@@ -113,7 +110,7 @@ def symbol_is_central_kernel(model: ChevalleyModel, alpha: Root, u, v) -> Symbol
     """Evaluate the symbol word; in a faithful model it must be the identity."""
     word = symbol_word(alpha, u, v)
     g = word_eval(word, model, like=one_like(as_ring_element(u)))
-    return SymbolCheck(alpha=alpha, u=u, v=v, ok=g.is_identity(), evaluated=g)
+    return SymbolCheck(ok=g.is_identity(), evaluated=g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Module boundaries: private names stay private, the bench tracer finds its names."""
+"""Module boundaries: private names stay private, the bench tracer finds its names,
+and no definition, stored field or import is left unused."""
 
 import ast
 import re
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chevkern"
+# the files whose uses count: the package and the benchmark that drives it
+SCANNED = sorted(SRC.glob("*.py")) + sorted((SRC.parent.parent / "chevbench").glob("*.py"))
 
 
 def private_imports(path: Path):
@@ -42,10 +45,10 @@ def test_bench_tracer_finds_every_name():
 
 # Public names that nothing in src/ or chevbench/ calls, each kept on purpose.
 UNCALLED_ALLOWED = {
-    "RingHom": "public API: ring homomorphisms for users, tested in tests/test_rings.py",
-    "expand_unit_product": "public API: expands a unit witness, tested in tests/test_rings.py",
-    "validate_cocycle": "a correctness check users run on their own cocycles",
-    "save": "public API: writes an algebra file that load reads back",
+    "expand_unit_product": "acceptance criterion 4 (tests/test_acceptance.py) expands a "
+                           "unit witness with it",
+    "validate_cocycle": "the check users run on their own cocycles before extending by them",
+    "save": "writes the algebra table files that --input and FinDimAlgebra.load read",
 }
 
 
@@ -87,10 +90,8 @@ def name_uses(path: Path):
 def uncalled_definitions():
     """``module.name`` for each function, class or method of src/chevkern that
     no file under src/ or chevbench/ uses outside the definition itself."""
-    root = SRC.parent.parent
-    files = sorted(SRC.glob("*.py")) + sorted((root / "chevbench").glob("*.py"))
     uses = {}  # name -> [(path, line)]
-    for path in files:
+    for path in SCANNED:
         for name, line in name_uses(path):
             uses.setdefault(name, []).append((path, line))
     found = []
@@ -112,3 +113,83 @@ def test_no_definition_is_left_uncalled():
     dead = [name for name in uncalled_definitions()
             if name.split(".")[-1] not in UNCALLED_ALLOWED]
     assert dead == []
+
+
+# Stored fields that nothing in src/ or chevbench/ reads, each kept on purpose.
+FIELDS_ALLOWED = {
+    "CommutatorCheck.lhs": "the commutator a caller inspects when ok is False; no extra work",
+    "CommutatorCheck.rhs": "the formula word a caller inspects when ok is False; no extra work",
+    "SymbolCheck.evaluated": "the symbol's value a caller inspects when ok is False; "
+                             "no extra work",
+    "LocalFactor.idempotent": "the sympy CRT-idempotent oracle in tests/test_extensions.py "
+                              "reads it",
+    "SingularMatrixError.determinant": "the error's payload, pinned by tests/test_kernel.py "
+                                       "and tests/test_rings.py",
+    "OneMinusFactorization.v": "part of the certificate 1 - ux = scalar * (1 + v * delta)",
+    "UnitWitness.delta": "part of the certificate target = 1 + sum_k s_k delta^k",
+}
+
+
+def _is_dataclass(cls):
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def stored_fields(path: Path):
+    """``Class.field`` for each dataclass annotation and each ``self.x`` that
+    ``__init__`` assigns, in the classes of one file."""
+    found = set()
+    for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                    and _is_dataclass(cls)):
+                found.add("%s.%s" % (cls.name, stmt.target.id))
+            elif isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                found.update("%s.%s" % (cls.name, node.attr) for node in ast.walk(stmt)
+                             if isinstance(node, ast.Attribute)
+                             and isinstance(node.ctx, ast.Store)
+                             and isinstance(node.value, ast.Name) and node.value.id == "self")
+    return found
+
+
+def unread_fields():
+    """The stored fields of src/chevkern whose name no file under src/ or
+    chevbench/ loads as an attribute (keywords and strings are not reads)."""
+    reads = set()
+    for path in SCANNED:
+        reads.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    fields = set().union(*(stored_fields(path) for path in SRC.glob("*.py")))
+    return sorted(f for f in fields if f.split(".")[1] not in reads)
+
+
+def test_no_stored_field_is_left_unread():
+    # state no caller reads is dead weight; keep a field only with a reason
+    assert all(reason for reason in FIELDS_ALLOWED.values())
+    assert [f for f in unread_fields() if f not in FIELDS_ALLOWED] == []
+
+
+def unused_imports(path: Path):
+    """``file:line name`` for every name a module imports but never uses."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    found.append("%s:%d %s" % (path.name, node.lineno, name))
+    return found
+
+
+def test_no_unused_import():
+    paths = sorted(SRC.glob("*.py"))
+    assert [hit for path in paths for hit in unused_imports(path)] == []
