@@ -39,7 +39,7 @@ from .kernel import (
     zero_like,
 )
 from .rings import TruncAlgebra, TruncElement
-from .rootsys import Root, RootSystem, RootString, enumerate_roots, root_string
+from .rootsys import Root, RootSystem, enumerate_roots, root_string
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -121,8 +121,8 @@ class ChevalleyModel:
         except KeyError:
             raise ValueError("%r is not a root of %s" % (alpha, self.system.kind)) from None
 
-    def string(self, alpha: Root, beta: Root) -> RootString:
-        """The root string of (alpha, beta), computed once per pair."""
+    def string(self, alpha: Root, beta: Root) -> tuple:
+        """The root string (i, j, root) of (alpha, beta), computed once per pair."""
         try:
             return self._strings[alpha, beta]
         except KeyError:
@@ -158,14 +158,6 @@ class ChevalleyModel:
             x = self.e(alpha, t)
             g = x if g is None else g * x
         return self.identity(like=like) if g is None else g
-
-    def w(self, alpha: Root, u) -> "GroupElement":
-        """Monomial element; u must be a unit of its ring."""
-        return self.word(w_letters(alpha, u))
-
-    def h(self, alpha: Root, u) -> "GroupElement":
-        """Diagonal (torus) element w(alpha, u) w(alpha, -1)."""
-        return self.word(h_letters(alpha, u))
 
     # -- membership -------------------------------------------------------------
 
@@ -297,14 +289,6 @@ class StructureConstants:
             raise KeyError("no constant recorded for %s" % (key,))
         return self.table[key]
 
-    def to_lines(self):
-        lines = ["# structure constants for %s" % self.kind,
-                 "# alpha beta i j N"]
-        for (ac, bc, i, j), n in sorted(self.table.items()):
-            lines.append("%s %s %d %d %d" % (
-                ",".join(str(c) for c in ac), ",".join(str(c) for c in bc), i, j, n))
-        return lines
-
     @staticmethod
     def from_lines(kind: str, lines) -> "StructureConstants":
         table = {}
@@ -317,9 +301,6 @@ class StructureConstants:
                    tuple(int(c) for c in b.split(",")), int(i), int(j))
             table[key] = int(n)
         return StructureConstants(kind, table)
-
-    def save(self, path):
-        Path(path).write_text("\n".join(self.to_lines()) + "\n")
 
     def __eq__(self, other):
         return (isinstance(other, StructureConstants)
@@ -348,11 +329,11 @@ class CommutatorCheck:
     used: tuple  # of (i, j, N)
 
 
-def _formula_letters(string: RootString, s, t, constants):
+def _formula_letters(string: tuple, s, t, constants):
     """The letters (i*alpha + j*beta, N_ij s^i t^j) of the commutator
     formula's right side, the N_ij taken in order from ``constants``."""
     return [(gamma, scalar_into(n, s) * (s ** i) * (t ** j))
-            for (i, j, gamma), n in zip(string.terms, constants)]
+            for (i, j, gamma), n in zip(string, constants)]
 
 
 def verify_commutator(model: ChevalleyModel, alpha: Root, beta: Root, s, t,
@@ -362,7 +343,7 @@ def verify_commutator(model: ChevalleyModel, alpha: Root, beta: Root, s, t,
     t = as_ring_element(t)
     string = model.string(alpha, beta)
     lhs = model.e(alpha, s).commutator(model.e(beta, t))
-    used = tuple((i, j, constants.get(alpha, beta, i, j)) for i, j, _ in string.terms)
+    used = tuple((i, j, constants.get(alpha, beta, i, j)) for i, j, _ in string)
     rhs = model.word(_formula_letters(string, s, t, [n for _, _, n in used]),
                      like=one_like(s))
     return CommutatorCheck(ok=(lhs.matrix == rhs.matrix), lhs=lhs.matrix, rhs=rhs.matrix,
@@ -396,13 +377,13 @@ def infer_structure_constants(model: ChevalleyModel,
     for alpha, beta in ordered_root_pairs(model.system):
         string = model.string(alpha, beta)
         lhs = model.e(alpha, s).commutator(model.e(beta, t)).matrix
-        if not string.terms:
+        if not string:
             if not lhs.is_identity():
                 raise ModelInconsistencyError("empty root string but nontrivial commutator"
                                               " for (%r, %r)" % (alpha, beta))
             continue
         read = []
-        for i, j, gamma in string.terms:
+        for i, j, gamma in string:
             p, q, c = model._entries(gamma)[0]
             x = lhs.entry(p, q) if ring is None else lhs.entry(p, q).coeff(0)
             n = x.coefficient({"s0": i, "t0": j}) / c
@@ -467,8 +448,6 @@ def graded_piece(c: GroupElement, s: int) -> Matrix:
 
 @dataclass
 class FiltrationReport:
-    kind: str
-    d: int
     lie_dim: int
     per_level: tuple
     total: int
@@ -508,8 +487,7 @@ def congruence_dimension(model: ChevalleyModel, d: int) -> FiltrationReport:
         _, rank, _ = rref(m)
         per_level.append(rank)
     total = sum(per_level)
-    return FiltrationReport(kind=model.system.kind, d=d, lie_dim=model.lie_dim,
-                            per_level=tuple(per_level), total=total,
+    return FiltrationReport(lie_dim=model.lie_dim, per_level=tuple(per_level), total=total,
                             expected_total=(d - 1) * model.lie_dim)
 
 
@@ -521,21 +499,17 @@ class PerfectnessWitness:
     ok: bool
 
 
-def perfectness_witness(model: ChevalleyModel, alpha: Root, r, s=Fraction(2)) -> PerfectnessWitness:
-    """Express e(alpha, r) as the commutator [h(alpha, s), e(alpha, r/(s^2-1))].
+def perfectness_witness(model: ChevalleyModel, alpha: Root, r) -> PerfectnessWitness:
+    """Express e(alpha, r) as the commutator [h(alpha, 2), e(alpha, r/3)].
 
-    Works whenever s^2 - 1 is a unit; the default s = 2 divides by 3.  The
-    identity holds because conjugation by h(alpha, s) scales the root
-    parameter by s^2.  The commutator is multiplied out as one word, h's
-    letters reversed and negated for its inverse.
+    The identity holds because conjugation by h(alpha, 2) scales the root
+    parameter by 2^2 = 4, and 4 - 1 = 3 is a unit.  The commutator is
+    multiplied out as one word, h's letters reversed and negated for its
+    inverse.
     """
     r = as_ring_element(r)
-    s = Fraction(s)
-    denom = s * s - 1
-    if s == 0 or denom == 0:
-        raise ValueError("scaling unit s must satisfy s != 0 and s^2 != 1")
-    inner_param = r * scalar_into(Fraction(1) / denom, r)
-    torus_letters = h_letters(alpha, scalar_into(s, r))
+    inner_param = r * scalar_into(Fraction(1, 3), r)
+    torus_letters = h_letters(alpha, scalar_into(Fraction(2), r))
     got = model.word(torus_letters + ((alpha, inner_param),)
                      + tuple((beta, -u) for beta, u in reversed(torus_letters))
                      + ((alpha, -inner_param),))

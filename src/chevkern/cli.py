@@ -55,7 +55,7 @@ from .extensions import (
     reassemble,
     splitness_verdict,
 )
-from .kernel import Matrix, MultiPoly, NotAUnitError, is_zero
+from .kernel import MAX_PARSE_DEGREE, Matrix, MultiPoly, NotAUnitError, is_zero
 from .rings import TruncAlgebra, factor_one_minus_ux, unit_group_witness
 from .steinberg import (
     NONSYMPLECTIC_RELATIONS,
@@ -65,6 +65,9 @@ from .steinberg import (
     derived_symbol_identities,
     symbol_is_central_kernel,
 )
+
+# the largest truncation order whose printed elements TruncAlgebra.parse reads back
+MAX_TRUNC = MAX_PARSE_DEGREE + 1
 
 DEFAULT_PROBLEM = """\
 base rational
@@ -153,8 +156,8 @@ def _suite_rng(seed: int, suite: str) -> random.Random:
     return random.Random(seed ^ zlib.crc32(suite.encode("utf-8")))
 
 
-def _rat(rng, lo=-9, hi=9) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, 9))
+def _rat(rng) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
 def _draw_until(draw, accept):
@@ -443,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--system", default="A2",
                         help="root system label, e.g. A2, A3, C2 (default A2)")
     parser.add_argument("--trunc", type=int, default=4, metavar="D",
-                        help="truncation order for K[e]/(e^D) checks (default 4)")
+                        help="truncation order D of K[e]/(e^D), 2 to %d (default 4)" % MAX_TRUNC)
     parser.add_argument("--prime", type=int, default=5,
                         help="prime for the tame symbol (default 5)")
     parser.add_argument("--samples", type=int, default=25,
@@ -480,8 +483,8 @@ def load_inputs(cfg, suites) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     cfg = parser.parse_args(argv)
-    if cfg.trunc < 2:
-        parser.error("--trunc must be at least 2")
+    if not 2 <= cfg.trunc <= MAX_TRUNC:
+        parser.error("--trunc must be from 2 to %d" % MAX_TRUNC)
     if cfg.samples < 1:
         parser.error("--samples must be positive")
     if cfg.input and cfg.suite not in ("extensions", "derivations"):

@@ -209,10 +209,9 @@ class SmoothnessScan:
     flagged: list  # points whose derivation space jumps above the minimum
 
 
-def smoothness_scan(algebra: PresentedAlgebra, points: Sequence[dict],
-                    mode: str = "relative") -> SmoothnessScan:
-    """Compare derivation dimensions across points; jumps mark singularities."""
-    dims = [der_dim(algebra, p, mode=mode).dim for p in points]
+def smoothness_scan(algebra: PresentedAlgebra, points: Sequence[dict]) -> SmoothnessScan:
+    """Compare relative derivation dimensions across points; jumps mark singularities."""
+    dims = [der_dim(algebra, p).dim for p in points]
     if not dims:
         raise ValueError("need at least one point")
     min_dim = min(dims)
@@ -220,25 +219,27 @@ def smoothness_scan(algebra: PresentedAlgebra, points: Sequence[dict],
     return SmoothnessScan(min_dim=min_dim, flagged=flagged)
 
 
-def localize(algebra: PresentedAlgebra, h: MultiPoly,
-             newvar: str = "Zloc") -> PresentedAlgebra:
-    """Invert h by the extra relation newvar * h - 1."""
-    if newvar in algebra.variables or newvar == algebra.base.generator:
-        raise ValueError("localization variable %r already in use" % newvar)
-    rel = MultiPoly.variable(newvar) * h - 1
-    return PresentedAlgebra(algebra.base, algebra.variables + (newvar,),
+# one name for the variable that localize adjoins and extend_point assigns
+LOCAL_VAR = "Zloc"
+
+
+def localize(algebra: PresentedAlgebra, h: MultiPoly) -> PresentedAlgebra:
+    """Invert h by the extra relation Zloc * h - 1."""
+    if LOCAL_VAR in algebra.variables or LOCAL_VAR == algebra.base.generator:
+        raise ValueError("localization variable %r already in use" % LOCAL_VAR)
+    rel = MultiPoly.variable(LOCAL_VAR) * h - 1
+    return PresentedAlgebra(algebra.base, algebra.variables + (LOCAL_VAR,),
                             algebra.relations + (rel,))
 
 
-def extend_point(algebra: PresentedAlgebra, h: MultiPoly, point: dict,
-                 newvar: str = "Zloc") -> dict:
+def extend_point(algebra: PresentedAlgebra, h: MultiPoly, point: dict) -> dict:
     """The unique lift of a point to the localization at h."""
     full = algebra.full_assignment(point)
     val = poly_eval(h, full)
     if is_zero(val):
         raise ValueError("the point kills %s; it has no lift" % h)
     out = dict(point)
-    out[newvar] = ring_inv(val)
+    out[LOCAL_VAR] = ring_inv(val)
     return out
 
 

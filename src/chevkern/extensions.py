@@ -97,8 +97,8 @@ class TracelessMatrices:
     def bracket(self, x: Matrix, y: Matrix) -> Matrix:
         return x * y - y * x
 
-    def random_element(self, rng, lo=-3, hi=3) -> Matrix:
-        return self.from_coords([Fraction(rng.randint(lo, hi)) for _ in range(self.dim)])
+    def random_element(self, rng) -> Matrix:
+        return self.from_coords([Fraction(rng.randint(-3, 3)) for _ in range(self.dim)])
 
 
 def ad_matrix(lie: TracelessMatrices, x: Matrix) -> Matrix:
@@ -141,10 +141,6 @@ class HeisenbergLikeGroup:
         if not (self.lie.contains(a) and self.lie.contains(b)):
             raise ValueError("components must lie in the algebra")
         return HeisenbergElement(self, a, b, Fraction(c))
-
-    def identity(self) -> "HeisenbergElement":
-        z = Matrix.zero(self.lie.n, self.lie.n)
-        return HeisenbergElement(self, z, z, Fraction(0))
 
 
 class HeisenbergElement:
@@ -246,15 +242,16 @@ class CocycleExtension:
 
     Elements are pairs (g, z) with z a central coordinate tuple, multiplied as
     (g1, z1)(g2, z2) = (g1 g2, z1 + z2 + c(g1, g2)).  The cocycle must be
-    normalized: c(e, e) = 0.
+    normalized: c(e, e) = 0, and every value has the length m of c(e, e).
     """
 
-    def __init__(self, ops: GroupOps, cocycle: Callable, center_dim: int = 1):
+    def __init__(self, ops: GroupOps, cocycle: Callable):
         self.ops = ops
         self.cocycle = cocycle
-        self.center_dim = center_dim
         e = ops.identity
-        if self._c(e, e) != (Fraction(0),) * center_dim:
+        at_e = cocycle(e, e)
+        self.center_dim = len(at_e) if isinstance(at_e, tuple) else 1
+        if any(self._c(e, e)):
             raise CocycleError("cocycle is not normalized at the identity")
 
     def _c(self, g, h) -> tuple:
@@ -281,9 +278,6 @@ class CocycleExtension:
         if not isinstance(z, tuple):
             z = (z,)
         return ExtensionElement(self, g, tuple(Fraction(v) for v in z))
-
-    def identity(self) -> "ExtensionElement":
-        return self.element(self.ops.identity)
 
 
 def _tadd(a: tuple, b: tuple) -> tuple:
@@ -316,9 +310,6 @@ class ExtensionElement:
 
     def commutator(self, other: "ExtensionElement") -> "ExtensionElement":
         return self * other * self.inverse() * other.inverse()
-
-    def is_identity(self) -> bool:
-        return self.g == self.ext.ops.identity and all(v == 0 for v in self.z)
 
     def __eq__(self, other):
         if not isinstance(other, ExtensionElement):
@@ -504,9 +495,6 @@ class FinDimAlgebra:
                     out[k] += f * c
         return tuple(out)
 
-    def zero(self) -> tuple:
-        return (Fraction(0),) * self.dim
-
     def basis_vector(self, k: int) -> tuple:
         return tuple(Fraction(1) if i == k else Fraction(0) for i in range(self.dim))
 
@@ -643,7 +631,6 @@ class LocalFactor:
     dim: int
     principal: bool
     trunc_order: Optional[int] = None
-    generator: Optional[tuple] = None
     basis: tuple = ()
     maximal_ideal_generators: Optional[int] = None
 
@@ -778,7 +765,7 @@ def decompose_algebra(algebra: FinDimAlgebra) -> DecompositionReport:
         if mdim == 0:
             report.factors.append(LocalFactor(
                 idempotent=e, dim=fdim, principal=True, trunc_order=1,
-                generator=None, basis=(e,), maximal_ideal_generators=0))
+                basis=(e,), maximal_ideal_generators=0))
             continue
         m2_vectors = [algebra.mult(x, y)
                       for x, y in itertools.product(ideal_vectors, repeat=2)]
@@ -806,8 +793,7 @@ def decompose_algebra(algebra: FinDimAlgebra) -> DecompositionReport:
             raise ArithmeticError("generator powers do not span the factor")
         report.factors.append(LocalFactor(
             idempotent=e, dim=fdim, principal=True, trunc_order=len(powers),
-            generator=generator, basis=tuple(powers),
-            maximal_ideal_generators=1))
+            basis=tuple(powers), maximal_ideal_generators=1))
     return report
 
 

@@ -529,15 +529,13 @@ class MultiPoly:
             (tuple(e[i] for i in used), c) for e, c in self.terms.items())
         return hash((names, items))
 
-    def _sorted_terms(self):
-        # graded lexicographic, highest first
-        return sorted(self.terms.items(), key=lambda ec: (-sum(ec[0]), tuple(-k for k in ec[0])))
-
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
-        for e, c in self._sorted_terms():
+        # graded lexicographic, highest first
+        for e, c in sorted(self.terms.items(),
+                           key=lambda ec: (-sum(ec[0]), tuple(-k for k in ec[0]))):
             factors = []
             for v, k in zip(self.variables, e):
                 if k == 1:
@@ -787,10 +785,9 @@ class Matrix:
                                   for i in range(n) for j in range(n)))
 
     @staticmethod
-    def zero(nrows: int, ncols: int, like=None) -> "Matrix":
-        like = Fraction(0) if like is None else as_ring_element(like)
-        z = zero_like(like)
-        return Matrix(nrows, ncols, (z,) * (nrows * ncols))
+    def zero(nrows: int, ncols: int) -> "Matrix":
+        """The rational zero matrix."""
+        return Matrix(nrows, ncols, (Fraction(0),) * (nrows * ncols))
 
     def entry(self, i: int, j: int):
         return self.entries[i * self.ncols + j]

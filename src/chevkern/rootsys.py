@@ -93,19 +93,12 @@ def enumerate_roots(kind: str) -> RootSystem:
     raise UnsupportedRootSystemError("unsupported root system %r" % kind)
 
 
-@dataclass(frozen=True)
-class RootString:
-    """The positive-integer combinations i*alpha + j*beta that are roots.
+def root_string(system: RootSystem, alpha: Root, beta: Root) -> tuple:
+    """The terms (i, j, i*alpha + j*beta) with i, j >= 1 whose sum is a root.
 
     Terms are ordered by (i + j, i) ascending; this is also the order in
     which commutator products are taken.
     """
-
-    terms: tuple  # of (i, j, Root)
-
-
-def root_string(system: RootSystem, alpha: Root, beta: Root) -> RootString:
-    """All roots of the form i*alpha + j*beta with i, j >= 1."""
     if not system.contains(alpha) or not system.contains(beta):
         raise ValueError("both arguments must be roots of %s" % system.kind)
     if (alpha + beta).coords == tuple(0 for _ in alpha.coords):
@@ -117,4 +110,4 @@ def root_string(system: RootSystem, alpha: Root, beta: Root) -> RootString:
             if system.contains(cand):
                 found.append((i, j, cand))
     found.sort(key=lambda t: (t[0] + t[1], t[0]))
-    return RootString(terms=tuple(found))
+    return tuple(found)

@@ -35,10 +35,6 @@ class SteinbergWord:
     def __init__(self, letters: Sequence = ()):
         self.letters = _reduce_letters(letters)
 
-    @staticmethod
-    def generator(alpha: Root, t) -> "SteinbergWord":
-        return SteinbergWord(((alpha, as_ring_element(t)),))
-
     def __mul__(self, other: "SteinbergWord") -> "SteinbergWord":
         return SteinbergWord(self.letters + other.letters)
 

@@ -401,6 +401,17 @@ def test_prime_above_the_limit_exits_2_fast(tmp_path):
         assert time.perf_counter() - start < 0.1
 
 
+def test_trunc_above_the_parser_limit_exits_2(tmp_path, capsys):
+    # a sample printed mod e^65 reads back through TruncAlgebra(65).parse; mod e^66 not
+    assert cli.MAX_TRUNC == 65
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["relations", "--trunc", "66", "--output", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--trunc must be from 2 to 65" in capsys.readouterr().err
+    assert cli.main(["units", "--trunc", "65", "--samples", "1",
+                     "--output", str(tmp_path / "out")]) == 0
+
+
 def test_extensions_input_with_two_numbers_on_its_dim_line_exits_2(tmp_path):
     lines = FinDimAlgebra.truncated(2).to_lines()
     algebra = tmp_path / "algebra.txt"

@@ -147,7 +147,7 @@ def test_localization_preserves_dimensions():
     with pytest.raises(ValueError):
         extend_point(alg, X, {"X": 0, "Y": 0})
     with pytest.raises(ValueError):
-        localize(alg, X, newvar="Y")
+        localize(loc, X)  # Zloc is taken
 
 
 def test_presentation_validation():

@@ -133,6 +133,7 @@ def test_heisenberg_group_axioms():
     rng = random.Random(23)
     lie = sl2()
     grp = HeisenbergLikeGroup(lie)
+    zero = Matrix.zero(2, 2)
 
     def rand():
         return grp.element(lie.random_element(rng), lie.random_element(rng),
@@ -143,7 +144,7 @@ def test_heisenberg_group_axioms():
         assert (g1 * g2) * g3 == g1 * (g2 * g3)
         assert (g1 * g1.inverse()).is_identity()
         assert (g1.inverse() * g1).is_identity()
-        assert g1 * grp.identity() == g1
+        assert g1 * grp.element(zero, zero, 0) == g1
 
 
 def test_heisenberg_commutator_is_central():
@@ -206,7 +207,9 @@ def _rand_mat(rng):
 
 
 def test_cocycle_extension_group_axioms():
-    ext = CocycleExtension(_matrix_group(), _matrix_cocycle)
+    ops = _matrix_group()
+    ext = CocycleExtension(ops, _matrix_cocycle)
+    one = ext.element(ops.identity)
     rng = random.Random(31)
     triples = [tuple(_rand_mat(rng) for _ in range(3)) for _ in range(20)]
     assert ext.validate_cocycle(triples)
@@ -215,14 +218,21 @@ def test_cocycle_extension_group_axioms():
         y = ext.element(h, (Fraction(rng.randint(-3, 3)),))
         z = ext.element(k)
         assert (x * y) * z == x * (y * z)
-        assert (x * x.inverse()).is_identity()
-        assert (x.inverse() * x).is_identity()
+        assert x * x.inverse() == one
+        assert x.inverse() * x == one
 
 
 def test_cocycle_must_be_normalized():
     ops = _matrix_group()
     with pytest.raises(CocycleError):
         CocycleExtension(ops, lambda g, h: (Fraction(1),))
+    with pytest.raises(CocycleError):
+        CocycleExtension(ops, lambda g, h: (Fraction(0), Fraction(1)))
+    # the central dimension is the length of c(e, e); any other length is refused
+    ext = CocycleExtension(ops, lambda g, h: (Fraction(0),) * (2 if g.is_zero_matrix() else 1))
+    assert ext.element(ops.identity).z == (0, 0)
+    with pytest.raises(CocycleError, match="wrong length"):
+        ext.element(E(2, 0, 1)) * ext.element(E(2, 0, 1))
 
 
 def test_cocycle_identity_violation_detected():
@@ -419,7 +429,7 @@ def test_univariate_quotient_table():
     assert alg.mult(x, x) == x
     # Q[X]/(X^3): X * X^2 = 0
     alg3 = FinDimAlgebra.truncated(3)
-    assert alg3.mult(alg3.basis_vector(1), alg3.basis_vector(2)) == alg3.zero()
+    assert alg3.mult(alg3.basis_vector(1), alg3.basis_vector(2)) == (Fraction(0),) * alg3.dim
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -455,7 +465,7 @@ def test_decompose_three_rational_points():
     report = decompose_algebra(alg)
     assert report.radical_dim == 0
     assert [f.dim for f in report.factors] == [1, 1, 1]
-    total = alg.zero()
+    total = (Fraction(0),) * alg.dim
     for f in report.factors:
         assert alg.mult(f.idempotent, f.idempotent) == f.idempotent
         total = tuple(a + b for a, b in zip(total, f.idempotent))
@@ -636,7 +646,7 @@ def _independent(vectors) -> bool:
 @pytest.mark.parametrize("name", ["split_2_3", "split_1_3_2", "split_2_3_reversed"])
 def test_minpoly_on_block_is_the_minimal_annihilator(name):
     alg = TRACE_FORM_ALGEBRAS[name]()
-    zero = alg.zero()
+    zero = (Fraction(0),) * alg.dim
     blocks = [alg.unit] + [f.idempotent for f in decompose_algebra(alg).factors]
     for e in blocks:
         for k in range(alg.dim):

@@ -43,12 +43,15 @@ def test_bench_tracer_finds_every_name():
     assert tracer.restored()
 
 
-# Public names that nothing in src/ or chevbench/ calls, each kept on purpose.
+# Public names that nothing in src/ or chevbench/ calls, each kept on purpose,
+# keyed ``module.name`` as uncalled_definitions() reports them.
 UNCALLED_ALLOWED = {
-    "expand_unit_product": "acceptance criterion 4 (tests/test_acceptance.py) expands a "
-                           "unit witness with it",
-    "validate_cocycle": "the check users run on their own cocycles before extending by them",
-    "save": "writes the algebra table files that --input and FinDimAlgebra.load read",
+    "rings.expand_unit_product": "acceptance criterion 4 (tests/test_acceptance.py) expands "
+                                 "a unit witness with it",
+    "extensions.validate_cocycle": "the check users run on their own cocycles before "
+                                   "extending by them",
+    "extensions.save": "FinDimAlgebra.save writes the algebra table files that --input and "
+                       "FinDimAlgebra.load read",
 }
 
 
@@ -87,6 +90,14 @@ def name_uses(path: Path):
     return uses
 
 
+def definitions():
+    """``module.name`` for each function, class or method of src/chevkern."""
+    return {"%s.%s" % (path.stem, node.name)
+            for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
 def uncalled_definitions():
     """``module.name`` for each function, class or method of src/chevkern that
     no file under src/ or chevbench/ uses outside the definition itself."""
@@ -110,9 +121,9 @@ def uncalled_definitions():
 def test_no_definition_is_left_uncalled():
     # a name only its own tests reach is dead code; keep one only with a reason
     assert all(reason for reason in UNCALLED_ALLOWED.values())
-    dead = [name for name in uncalled_definitions()
-            if name.split(".")[-1] not in UNCALLED_ALLOWED]
-    assert dead == []
+    # a stale entry would hide the next definition that takes its name
+    assert sorted(set(UNCALLED_ALLOWED) - definitions()) == []
+    assert [name for name in uncalled_definitions() if name not in UNCALLED_ALLOWED] == []
 
 
 # Stored fields that nothing in src/ or chevbench/ reads, each kept on purpose.
@@ -171,6 +182,8 @@ def unread_fields():
 def test_no_stored_field_is_left_unread():
     # state no caller reads is dead weight; keep a field only with a reason
     assert all(reason for reason in FIELDS_ALLOWED.values())
+    fields = set().union(*(stored_fields(path) for path in SRC.glob("*.py")))
+    assert sorted(set(FIELDS_ALLOWED) - fields) == []
     assert [f for f in unread_fields() if f not in FIELDS_ALLOWED] == []
 
 

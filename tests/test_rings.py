@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from chevkern.cli import _rat
 from chevkern.kernel import (
     MAX_PARSE_DEGREE,
     QQ,
@@ -166,7 +167,7 @@ def test_trunc_parse_replays_cli_samples():
     for d in range(2, 7):
         A = TruncAlgebra(d)
         for _ in range(20):
-            x = A.element([Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)])
+            x = A.element([_rat(rng) for _ in range(d)])
             assert A.parse(str(x)) == x
     x = TruncAlgebra(3).element([Q(-7, 9), Q(-1, 2), Q(-3)])
     assert str(x) == "-7/9 + -1/2*e + -3*e^2"
@@ -177,7 +178,7 @@ def test_trunc_parse_reaches_the_parser_degree_limit():
     # README promises replay for d up to 65: e^64 is the parser's top degree
     rng = random.Random(65)
     A = TruncAlgebra(MAX_PARSE_DEGREE + 1)
-    x = A.element([Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(A.d)])
+    x = A.element([_rat(rng) for _ in range(A.d)])
     assert A.parse(str(x)) == x
     with pytest.raises(ValueError, match="limit %d" % MAX_PARSE_DEGREE):
         TruncAlgebra(MAX_PARSE_DEGREE + 2).parse("1 + e^%d" % (MAX_PARSE_DEGREE + 1))
