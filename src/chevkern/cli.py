@@ -68,6 +68,8 @@ from .steinberg import (
 
 # the largest truncation order whose printed elements TruncAlgebra.parse reads back
 MAX_TRUNC = MAX_PARSE_DEGREE + 1
+# the most random samples per family; every suite's cost is linear in it
+MAX_SAMPLES = 1000
 
 DEFAULT_PROBLEM = """\
 base rational
@@ -450,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--prime", type=int, default=5,
                         help="prime for the tame symbol (default 5)")
     parser.add_argument("--samples", type=int, default=25,
-                        help="random samples per family (default 25)")
+                        help="random samples per family, 1 to %d (default 25)" % MAX_SAMPLES)
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for all random streams (default 0)")
     parser.add_argument("--input", default=None, metavar="PATH",
@@ -485,8 +487,8 @@ def main(argv=None) -> int:
     cfg = parser.parse_args(argv)
     if not 2 <= cfg.trunc <= MAX_TRUNC:
         parser.error("--trunc must be from 2 to %d" % MAX_TRUNC)
-    if cfg.samples < 1:
-        parser.error("--samples must be positive")
+    if not 1 <= cfg.samples <= MAX_SAMPLES:
+        parser.error("--samples must be from 1 to %d" % MAX_SAMPLES)
     if cfg.input and cfg.suite not in ("extensions", "derivations"):
         parser.error("--input only applies to the extensions and derivations suites")
 

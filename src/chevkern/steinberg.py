@@ -132,41 +132,35 @@ class TameSymbol:
 
     def valuation(self, x) -> int:
         x = Fraction(x)
-        if x == 0:
+        if not x:
             raise ValueError("zero has no valuation")
-        v = 0
-        num, den = x.numerator, x.denominator
-        while num % self.p == 0:
-            num //= self.p
-            v += 1
-        while den % self.p == 0:
-            den //= self.p
-            v -= 1
-        return v
+        return self._split(x)[0]
 
-    def _unit_mod_p(self, x) -> int:
-        """Reduce the p-unit part of x modulo p."""
-        x = Fraction(x)
-        v = self.valuation(x)
-        num, den = x.numerator, x.denominator
-        if v > 0:
-            num //= self.p ** v
-        elif v < 0:
-            den //= self.p ** (-v)
-        return (num * pow(den, -1, self.p)) % self.p
+    def _split(self, x: Fraction):
+        """(v_p(x), the p-unit part of x mod p) for a nonzero Fraction x."""
+        p = self.p
+        num, den = x.as_integer_ratio()
+        v = 0
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        return v, num * pow(den, -1, p) % p
 
     def __call__(self, x, y) -> int:
-        x = Fraction(x)
-        y = Fraction(y)
-        if x == 0 or y == 0:
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if type(y) is not Fraction:
+            y = Fraction(y)
+        if not x or not y:
             raise ValueError("symbols are defined on nonzero arguments")
-        a = self.valuation(x)
-        b = self.valuation(y)
-        ux = self._unit_mod_p(x)
-        uy = self._unit_mod_p(y)
-        sign = self.p - 1 if (a * b) % 2 == 1 else 1
-        val = (sign * pow(ux, b, self.p) * pow(uy, -a, self.p)) % self.p
-        return val
+        a, ux = self._split(x)
+        b, uy = self._split(y)
+        p = self.p
+        sign = p - 1 if (a * b) % 2 == 1 else 1
+        return (sign * pow(ux, b, p) * pow(uy, -a, p)) % p
 
     def __repr__(self):
         return "TameSymbol(p=%d)" % self.p
@@ -197,8 +191,9 @@ def _sample_nonzero(rng: random.Random, p: int) -> Fraction:
     k = rng.randint(-2, 2)
     num = rng.randint(1, 40) * rng.choice((1, -1))
     den = rng.randint(1, 40)
-    x = Fraction(num, den) * Fraction(p) ** k
-    return x
+    if k >= 0:
+        return Fraction(num * p ** k, den)
+    return Fraction(num, den * p ** -k)
 
 
 # name -> (witness arity, test); a test gets the symbol and the drawn

@@ -412,6 +412,24 @@ def test_trunc_above_the_parser_limit_exits_2(tmp_path, capsys):
                      "--output", str(tmp_path / "out")]) == 0
 
 
+def test_samples_above_the_limit_exits_2_fast(tmp_path, capsys):
+    # every suite is linear in --samples; the limit is refused before any draw
+    assert cli.MAX_SAMPLES == 1000
+    assert "1 to 1000" in " ".join(cli.build_parser().format_help().split())
+    for suite in ("symbols", "units", "all"):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([suite, "--samples", "1001", "--output", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.code == 2
+        assert "--samples must be from 1 to 1000" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["symbols", "--samples", "0", "--output", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert cli.main(["symbols", "--samples", "1000",
+                     "--output", str(tmp_path / "out")]) == 0
+
+
 def test_extensions_input_with_two_numbers_on_its_dim_line_exits_2(tmp_path):
     lines = FinDimAlgebra.truncated(2).to_lines()
     algebra = tmp_path / "algebra.txt"

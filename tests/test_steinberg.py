@@ -13,6 +13,7 @@ from chevkern.steinberg import (
     SYMPLECTIC_RELATIONS,
     SteinbergWord,
     TameSymbol,
+    _sample_nonzero,
     check_symbol_relations,
     derived_symbol_identities,
     symbol_is_central_kernel,
@@ -156,8 +157,10 @@ def test_tame_symbol_valuation():
     assert s.valuation(Q(49, 3)) == 2
     assert s.valuation(Q(3, 7)) == -1
     assert s.valuation(Q(-14)) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero has no valuation"):
         s.valuation(Q(0))
+    with pytest.raises(ValueError, match="zero has no valuation"):
+        s.valuation(0)
 
 
 def test_tame_symbol_rejects_bad_input():
@@ -166,8 +169,54 @@ def test_tame_symbol_rejects_bad_input():
     with pytest.raises(ValueError):
         TameSymbol(1)
     s = TameSymbol(5)
-    with pytest.raises(ValueError):
-        s(Q(0), Q(1))
+    for x, y in ((Q(0), Q(1)), (Q(3), Q(0)), (0, 7), (Q(1, 5), 0)):
+        with pytest.raises(ValueError, match="symbols are defined on nonzero arguments"):
+            s(x, y)
+
+
+def _p_unit_times_power(rng, p, v):
+    """A random rational of valuation v at p; an int whenever v >= 0 allows it."""
+    as_int = v >= 0 and rng.random() < 0.5
+    while True:
+        num = rng.choice((1, -1)) * rng.randint(1, 60)
+        den = 1 if as_int else rng.randint(1, 60)
+        if num % p and den % p:
+            break
+    x = Q(num, den) * Q(p) ** v
+    return int(x) if as_int else x
+
+
+def test_tame_symbol_matches_the_defining_formula():
+    # (-1)^{ab} x^b y^{-a} is a p-unit; its residue is numerator / denominator mod p
+    rng = random.Random(89)
+    for p in (2, 3, 5, 7, MAX_PRIME):
+        s = TameSymbol(p)
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                x = _p_unit_times_power(rng, p, a)
+                y = _p_unit_times_power(rng, p, b)
+                unit = Q(-1) ** (a * b) * Q(x) ** b * Q(y) ** -a
+                assert unit.numerator % p and unit.denominator % p
+                expected = unit.numerator * pow(unit.denominator, -1, p) % p
+                assert (s.valuation(x), s.valuation(y)) == (a, b), (p, x, y)
+                assert s(x, y) == expected, (p, x, y)
+
+
+def test_sampler_draws_match_the_two_step_formula():
+    # one Fraction per draw; the values and the rng calls are those of
+    # Fraction(num, den) * Fraction(p) ** k
+    for p in (2, 3, 5, 7):
+        for seed in (0, 42):
+            rng = random.Random(seed)
+            replay = random.Random(seed)
+            for _ in range(200):
+                k = replay.randint(-2, 2)
+                num = replay.randint(1, 40) * replay.choice((1, -1))
+                den = replay.randint(1, 40)
+                x = _sample_nonzero(rng, p)
+                assert type(x) is Q
+                assert x == Q(num, den) * Q(p) ** k, (p, seed)
+            assert rng.getstate() == replay.getstate()
 
 
 def test_tame_symbol_prime_is_bounded():
