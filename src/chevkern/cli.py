@@ -189,9 +189,8 @@ def _root_name(root) -> str:
 # before checking, so no check reads the suite's random stream
 
 def run_relations(report: Report, cfg, rng):
-    model = cfg.model
+    model, constants = cfg.model, cfg.constants
     kind = model.system.kind
-    constants = load_structure_constants(kind)
     s, t = MultiPoly.variables_in("s", "t")
     algebra = TruncAlgebra(cfg.trunc)
     for alpha, beta in ordered_root_pairs(model.system):
@@ -468,6 +467,9 @@ def load_inputs(cfg, suites) -> None:
     """Build what the selected suites read; OSError/ValueError on bad input."""
     if {"relations", "symbols", "filtration"} & set(suites):
         cfg.model = build_model(cfg.system)
+    if "relations" in suites:
+        # keyed by the normalized kind, so that b2 finds C2's table
+        cfg.constants = load_structure_constants(cfg.model.system.kind)
     if "symbols" in suites:
         cfg.symbol = TameSymbol(cfg.prime)
     if "extensions" in suites and cfg.input:

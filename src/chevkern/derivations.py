@@ -19,10 +19,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .kernel import (
+    QQ,
+    DomainMismatchError,
     Matrix,
     MultiPoly,
     NumberField,
-    NumberFieldElement,
     is_zero,
     parse_polynomial,
     poly_eval,
@@ -78,6 +79,7 @@ class PresentedAlgebra:
             raise ValueError("generator name %r clashes with a variable" % base.generator)
         self.relations = tuple(relations)
         self.field = base.field()
+        self.ring = self.field or QQ  # the ring that point values live in
         names = set(self.variables)
         if base.generator:
             names.add(base.generator)
@@ -90,17 +92,6 @@ class PresentedAlgebra:
 
     # -- points --------------------------------------------------------------
 
-    def _coerce_value(self, v):
-        if self.field is not None:
-            if isinstance(v, NumberFieldElement):
-                if v.field != self.field:
-                    raise ValueError("value from a different number field")
-                return v
-            return self.field.from_rational(Fraction(v))
-        if isinstance(v, NumberFieldElement):
-            raise ValueError("number field value over a plain rational base")
-        return Fraction(v)
-
     def full_assignment(self, point: dict) -> dict:
         """Point values for all variables plus the base generator, coerced."""
         unknown = set(point) - set(self.variables)
@@ -109,7 +100,10 @@ class PresentedAlgebra:
         missing = set(self.variables) - set(point)
         if missing:
             raise ValueError("point misses variables %s" % sorted(missing))
-        full = {name: self._coerce_value(v) for name, v in point.items()}
+        try:
+            full = {name: self.ring.coerce(v) for name, v in point.items()}
+        except DomainMismatchError as exc:
+            raise ValueError("bad point value: %s" % exc) from None
         if self.field is not None:
             full[self.base.generator] = self.field.generator()
         return full
@@ -170,13 +164,10 @@ def apply_derivation(algebra: PresentedAlgebra, point: dict,
         columns.append(algebra.base.generator)
     if len(tangent) != len(columns):
         raise ValueError("tangent vector length does not match the columns")
-    total = None
+    ring = algebra.ring
+    total = ring.zero()
     for x, t in zip(columns, tangent):
-        val = poly_eval(poly.derivative(x), full)
-        if algebra.field is not None:
-            val, t = algebra.field.coerce(val), algebra.field.coerce(t)
-        term = val * t
-        total = term if total is None else total + term
+        total = total + ring.coerce(poly_eval(poly.derivative(x), full)) * ring.coerce(t)
     return total
 
 

@@ -47,23 +47,8 @@ class TracelessMatrices:
             raise ValueError("need n >= 2")
         self.n = n
         self.dim = n * n - 1
-        self._basis = self._build_basis()
-
-    def _build_basis(self):
-        n = self.n
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                out.append(Matrix.from_rows(
-                    [[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)]))
-        for k in range(n - 1):
-            rows = [[0] * n for _ in range(n)]
-            rows[k][k] = 1
-            rows[k + 1][k + 1] = -1
-            out.append(Matrix.from_rows(rows))
-        return tuple(out)
+        self._basis = tuple(self.from_coords([int(i == k) for i in range(self.dim)])
+                            for k in range(self.dim))
 
     def basis(self):
         return self._basis
@@ -254,13 +239,16 @@ class CocycleExtension:
         if any(self._c(e, e)):
             raise CocycleError("cocycle is not normalized at the identity")
 
-    def _c(self, g, h) -> tuple:
-        val = self.cocycle(g, h)
+    def _central(self, val) -> tuple:
+        """A central value as a tuple of m Fractions; a bare scalar is (val,)."""
         if not isinstance(val, tuple):
             val = (val,)
         if len(val) != self.center_dim:
-            raise CocycleError("cocycle value has wrong length")
+            raise CocycleError("central value %r has wrong length" % (val,))
         return tuple(v if type(v) is Fraction else Fraction(v) for v in val)
+
+    def _c(self, g, h) -> tuple:
+        return self._central(self.cocycle(g, h))
 
     def validate_cocycle(self, samples) -> bool:
         """Check c(g,h) + c(gh,k) = c(g,hk) + c(h,k) on the given triples."""
@@ -273,11 +261,8 @@ class CocycleExtension:
         return True
 
     def element(self, g, z=None) -> "ExtensionElement":
-        if z is None:
-            z = (Fraction(0),) * self.center_dim
-        if not isinstance(z, tuple):
-            z = (z,)
-        return ExtensionElement(self, g, tuple(Fraction(v) for v in z))
+        """The pair (g, z); z defaults to 0 and is checked like a cocycle value."""
+        return ExtensionElement(self, g, self._central((0,) * self.center_dim if z is None else z))
 
 
 def _tadd(a: tuple, b: tuple) -> tuple:

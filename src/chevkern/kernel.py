@@ -217,6 +217,10 @@ class NumberField:
             raise ValueError("expected %d coordinates, got %d" % (self.degree, len(cs)))
         return NumberFieldElement(self, cs)
 
+    def _reduce(self, poly: tuple) -> "NumberFieldElement":
+        _, rem = pdivmod(poly, self._minpoly_q)
+        return NumberFieldElement(self, rem + (Fraction(0),) * (self.degree - len(rem)))
+
     def from_rational(self, q) -> "NumberFieldElement":
         return self.element((Fraction(q),) + (Fraction(0),) * (self.degree - 1))
 
@@ -296,9 +300,7 @@ class NumberFieldElement:
     def __mul__(self, other):
         self._check(other)
         prod = pmul(ptrim(self.coords), ptrim(other.coords))
-        _, rem = pdivmod(prod, self.field._minpoly_q)
-        return self.field.element(
-            tuple(rem[i] if i < len(rem) else Fraction(0) for i in range(self.field.degree)))
+        return self.field._reduce(prod)
 
     def inverse(self) -> "NumberFieldElement":
         a = ptrim(self.coords)
@@ -308,10 +310,7 @@ class NumberFieldElement:
         if len(g) != 1:
             raise NotAUnitError(
                 "gcd with the defining polynomial is not constant; field is not a field")
-        inv = _pscale(s, 1 / g[0])
-        _, rem = pdivmod(inv, self.field._minpoly_q)
-        return self.field.element(
-            tuple(rem[i] if i < len(rem) else Fraction(0) for i in range(self.field.degree)))
+        return self.field._reduce(_pscale(s, 1 / g[0]))
 
     def __truediv__(self, other):
         self._check(other)
@@ -651,7 +650,7 @@ def parse_polynomial(text: str, variables=None) -> MultiPoly:
             c = right.constant_value()
             if c == 0:
                 raise ValueError("division by zero in %r" % text)
-            return left * Fraction(1, 1) * (1 / c)
+            return left * (1 / c)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             inner = build(node.operand)
             return -inner if isinstance(node.op, ast.USub) else inner

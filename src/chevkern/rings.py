@@ -61,9 +61,7 @@ class TruncAlgebra:
             raise ValueError("power must be positive")
         if power >= self.d:
             return self.zero()
-        cs = [self.base.zero()] * self.d
-        cs[power] = self.base.one()
-        return TruncElement(self, tuple(cs))
+        return self.element([0] * power + [1])
 
     def generic(self, prefix: str) -> "TruncElement":
         """Element with formal polynomial coefficients prefix0..prefix{d-1}.
@@ -184,11 +182,8 @@ class TruncElement:
         return all(is_zero(c) for c in self.coeffs)
 
     def is_unit(self) -> bool:
-        x0 = self.coeffs[0]
-        if self.algebra.base.is_field():
-            return not is_zero(x0)
         try:
-            self.algebra.base.inv(x0)
+            self.algebra.base.inv(self.coeffs[0])
             return True
         except NotAUnitError:
             return False

@@ -1,4 +1,4 @@
-"""Root systems A_l (l >= 2) and C2, with root strings.
+"""Root systems A_l (2 <= l <= MAX_RANK) and C2, with root strings.
 
 Roots carry integer coordinates in the standard basis: for A_l these are the
 vectors e_i - e_j inside Z^{l+1}; for C2 they are (+-1, +-1), (+-2, 0),
@@ -13,8 +13,12 @@ from dataclasses import dataclass
 from typing import Tuple
 
 
+# the largest rank l of A_l; symbols on A8 takes about 4.5 s at --samples 1000
+MAX_RANK = 8
+
+
 class UnsupportedRootSystemError(ValueError):
-    """Raised for root-system labels outside A_l (l >= 2) and C2/B2."""
+    """Raised for root-system labels outside A_l (2 <= l <= MAX_RANK) and C2/B2."""
 
 
 @dataclass(frozen=True, order=True)
@@ -62,9 +66,9 @@ def enumerate_roots(kind: str) -> RootSystem:
         raise UnsupportedRootSystemError("unsupported root system %r" % kind)
     family, ell = m.group(1), int(m.group(2))
     if family == "A":
-        if ell < 2:
+        if not 2 <= ell <= MAX_RANK:
             raise UnsupportedRootSystemError(
-                "A%d is out of scope; the smallest supported system is A2" % ell)
+                "A%d is out of scope; the supported systems are A2 to A%d" % (ell, MAX_RANK))
         n = ell + 1
         roots = []
         for i in range(n):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from chevkern import cli
+from chevkern import cli, rootsys
 from chevkern.extensions import FinDimAlgebra
 from chevkern.rings import TruncAlgebra, TruncElement
 from chevkern.steinberg import TameSymbol
@@ -368,6 +368,17 @@ def test_all_keeps_every_other_suite_after_a_fault(tmp_path, monkeypatch):
     (["derivations", "--input", "OFF_VARIETY"], 2),
     (["symbols", "--prime", "4"], 2),
     (["units", "--system", "G2"], 0),
+    # relations needs frozen structure constants: A2, A3 and C2 (b2 is C2)
+    (["relations", "--system", "A4"], 2),
+    (["all", "--system", "A4"], 2),
+    (["relations", "--system", "b2"], 0),
+    # A_l above rootsys.MAX_RANK = 8 is refused for every suite that builds a model
+    (["symbols", "--system", "A9"], 2),
+    (["filtration", "--system", "A9"], 2),
+    (["relations", "--system", "A9"], 2),
+    (["all", "--system", "A9"], 2),
+    (["filtration", "--system", "A8"], 0),
+    (["units", "--system", "A9"], 0),
     (["relations", "--prime", "4"], 0),
     (["derivations", "--input", "NO_POINTS"], 2),
     # --input given to a suite that never reads it is a usage error
@@ -399,6 +410,19 @@ def test_prime_above_the_limit_exits_2_fast(tmp_path):
         assert cli.main([suite, "--prime", "2147483659",
                          "--output", str(tmp_path / "out")]) == 2
         assert time.perf_counter() - start < 0.1
+
+
+def test_rank_above_the_limit_exits_2_fast(tmp_path, capsys):
+    # the rank is refused before any root is built, however large it is
+    assert rootsys.MAX_RANK == 8
+    for suite in ("relations", "symbols", "filtration", "all"):
+        for system in ("A9", "A1000000"):
+            start = time.perf_counter()
+            code = cli.main([suite, "--system", system, "--output", str(tmp_path / "out")])
+            assert time.perf_counter() - start < 0.1
+            assert code == 2
+            assert "supported systems are A2 to A8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_trunc_above_the_parser_limit_exits_2(tmp_path, capsys):

@@ -64,6 +64,31 @@ def test_point_validation():
         der_dim(alg, {"X": 0, "Y": 0, "W": 1})
 
 
+@pytest.mark.parametrize("bad", [1.0, "4", 2.5])
+def test_point_values_go_through_the_base_ring(bad):
+    # as Matrix.from_rows and NumberField.coerce do, a float or a string is refused
+    w2 = BaseRing("numberring", generator="w", minpoly=(-2, 0, 1))
+    for alg in (PresentedAlgebra(BaseRing("rational"), ("X", "Y"), ()),
+                PresentedAlgebra(w2, ("X", "Y"), ())):
+        point = {"X": bad, "Y": 1}
+        with pytest.raises(ValueError, match="point value"):
+            der_dim(alg, point)
+        with pytest.raises(ValueError, match="point value"):
+            extend_point(alg, Y, point)
+    field = w2.field()
+    with pytest.raises(ValueError, match="point value"):
+        der_dim(cusp(), {"X": field.one(), "Y": 1})
+
+
+def test_apply_derivation_without_columns_is_the_ring_zero():
+    rational = PresentedAlgebra(BaseRing("rational"), (), ())
+    value = apply_derivation(rational, {}, (), MultiPoly.constant(3))
+    assert type(value) is Fraction and value == 0
+    w2 = BaseRing("numberring", generator="w", minpoly=(-2, 0, 1))
+    over_w2 = PresentedAlgebra(w2, (), ())
+    assert apply_derivation(over_w2, {}, (), MultiPoly.constant(3)) == w2.field().zero()
+
+
 def test_leibniz_rule_of_tangent_vectors():
     alg = cusp()
     point = {"X": Fraction(1), "Y": Fraction(1)}

@@ -57,6 +57,15 @@ def test_killing_form_hand_values_sl2():
     assert killing_form(lie, e, H2) == 0
 
 
+def test_traceless_basis_order():
+    # off-diagonal units in row order, then the diagonal steps E_kk - E_k+1,k+1
+    assert sl2().basis() == (E(2, 0, 1), E(2, 1, 0), H2)
+    for n in (3, 4):
+        lie = TracelessMatrices(n)
+        for k, b in enumerate(lie.basis()):
+            assert lie.coords(b) == tuple(int(i == k) for i in range(lie.dim))
+
+
 def test_killing_form_equals_scaled_trace_form():
     rng = random.Random(7)
     for n in (2, 3):
@@ -280,6 +289,18 @@ def test_commutator_lift_invariance():
     # for an abelian base the commutator center is c(g,h) - c(h,g)
     expected = _matrix_cocycle(g, h)[0] - _matrix_cocycle(h, g)[0]
     assert report.commutator_center == (expected,)
+
+
+def test_central_value_of_the_wrong_length_is_refused():
+    # element() checks z as _c checks a cocycle value; * used to drop extra coordinates
+    ext = CocycleExtension(_matrix_group(), _matrix_cocycle)
+    g, h = E(2, 0, 1), E(2, 1, 0)
+    for z in ((1, 2), ()):
+        with pytest.raises(CocycleError, match="wrong length"):
+            ext.element(g, z)
+    assert ext.element(g, 3).z == ext.element(g, (Fraction(3),)).z == (Fraction(3),)
+    with pytest.raises(CocycleError, match="wrong length"):
+        commutator_lift_invariance(ext, g, h, [(Fraction(0),), (Fraction(1), Fraction(2))])
 
 
 def _pair_group():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from chevkern.rootsys import (
+    MAX_RANK,
     Root,
     UnsupportedRootSystemError,
     enumerate_roots,
@@ -31,6 +32,12 @@ def test_negation_closure_and_determinism():
         for r in sys1.roots:
             assert sys1.contains(-r)
         assert len(set(sys1.roots)) == len(sys1.roots)
+
+
+def test_rank_limit():
+    assert len(enumerate_roots("A%d" % MAX_RANK).roots) == MAX_RANK * (MAX_RANK + 1)
+    with pytest.raises(UnsupportedRootSystemError, match="A2 to A%d" % MAX_RANK):
+        enumerate_roots("A%d" % (MAX_RANK + 1))
 
 
 def test_unsupported_systems():
