@@ -368,6 +368,15 @@ def test_all_keeps_every_other_suite_after_a_fault(tmp_path, monkeypatch):
     (["derivations", "--input", "OFF_VARIETY"], 2),
     (["symbols", "--prime", "4"], 2),
     (["units", "--system", "G2"], 0),
+    (["relations", "--prime", "4"], 0),
+    (["derivations", "--input", "NO_POINTS"], 2),
+    # --input given to a suite that never reads it is a usage error
+    (["relations", "--input", "/does/not/exist"], 2),
+    (["symbols", "--input", "/does/not/exist"], 2),
+    (["units", "--input", "/does/not/exist"], 2),
+    (["filtration", "--input", "/does/not/exist"], 2),
+    # a point that sets X twice on the cusp, where X=1 Y=1 alone lies
+    (["derivations", "--input", "TWICE"], 2),
     # relations needs frozen structure constants: A2, A3 and C2 (b2 is C2)
     (["relations", "--system", "A4"], 2),
     (["all", "--system", "A4"], 2),
@@ -379,15 +388,6 @@ def test_all_keeps_every_other_suite_after_a_fault(tmp_path, monkeypatch):
     (["all", "--system", "A9"], 2),
     (["filtration", "--system", "A8"], 0),
     (["units", "--system", "A9"], 0),
-    (["relations", "--prime", "4"], 0),
-    (["derivations", "--input", "NO_POINTS"], 2),
-    # --input given to a suite that never reads it is a usage error
-    (["relations", "--input", "/does/not/exist"], 2),
-    (["symbols", "--input", "/does/not/exist"], 2),
-    (["units", "--input", "/does/not/exist"], 2),
-    (["filtration", "--input", "/does/not/exist"], 2),
-    # a point that sets X twice on the cusp, where X=1 Y=1 alone lies
-    (["derivations", "--input", "TWICE"], 2),
 ])
 def test_exit_codes(tmp_path, args, code):
     problems = {"OFF_VARIETY": "point X=1 Y=2\n", "NO_POINTS": "",
