@@ -145,18 +145,25 @@ class ChevalleyModel:
         one = one_like(t)
         zero = zero_like(t)
         entries = [one if i == j else zero for i in range(n) for j in range(n)]
-        for i, j, c in self._entries(alpha):
-            entries[i * n + j] += t if c == 1 else t * scalar_into(c, t)
+        for i, j, c in self._entries(alpha):  # off the diagonal, each position once
+            entries[i * n + j] = t if c == 1 else t * scalar_into(c, t)
         return GroupElement(self, Matrix(n, n, tuple(entries)), (alpha, t))
 
     def word(self, letters, like=None) -> "GroupElement":
         """The product e(alpha_1, t_1) ... e(alpha_k, t_k) of the letters
-        (alpha, t), each factor applied by row or column operations; the
-        identity over ``like`` when there are no letters."""
+        (alpha, t); the identity over ``like`` when there are no letters.  Only
+        the first letter is built as a matrix: a later letter of the running
+        entry type acts by column operations (``_add_multiples``), one of
+        another type by the dense product, so the entry types stay as they were."""
         g = None
         for alpha, t in letters:
-            x = self.e(alpha, t)
-            g = x if g is None else g * x
+            t = as_ring_element(t)
+            if g is not None and type(t) is type(g.matrix.entries[0]):
+                g = GroupElement(self, _add_multiples(g.matrix, self._entries(alpha), t,
+                                                      right=True))
+            else:
+                x = self.e(alpha, t)
+                g = x if g is None else g * x
         return self.identity(like=like) if g is None else g
 
     # -- membership -------------------------------------------------------------
@@ -207,21 +214,24 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         """Product; a root element factor acts by column or row operations.
 
-        g * e(alpha, t) = g + g*(t X_alpha) adds t times a column of g to
-        another column for each nonzero entry of X_alpha, and e(alpha, t) * g
-        does the same with rows.  Factors over different entry types take the
-        dense product, so the entry types of the result stay as they were.
+        g * e(alpha, t) = g + g*(t X_alpha) adds c*t times a column of g to
+        another column for each entry (i, j, c) of X_alpha, and e(alpha, t) * g
+        does the same with rows, the letter (alpha, t) read from the ``root``
+        tag.  Factors over different entry types take the dense product, so
+        the entry types of the result stay as they were.
         """
         if not isinstance(other, GroupElement) or other.model is not self.model:
             raise ValueError("group elements from different models")
         a, b = self.matrix, other.matrix
         if type(a.entries[0]) is type(b.entries[0]):
             if other.root is not None:
+                alpha, t = other.root
                 return GroupElement(self.model, _add_multiples(
-                    a, b, self.model._letters[other.root[0]], right=True))
+                    a, self.model._letters[alpha], t, right=True))
             if self.root is not None:
+                alpha, t = self.root
                 return GroupElement(self.model, _add_multiples(
-                    b, a, self.model._letters[self.root[0]], right=False))
+                    b, self.model._letters[alpha], t, right=False))
         return GroupElement(self.model, a * b)
 
     def inverse(self) -> "GroupElement":
@@ -231,7 +241,15 @@ class GroupElement:
         return GroupElement(self.model, self.matrix.inv())
 
     def commutator(self, other: "GroupElement") -> "GroupElement":
-        """[self, other] = self other self^{-1} other^{-1}."""
+        """[self, other] = self other self^{-1} other^{-1}; for root elements
+        e(alpha, s), e(beta, t) of one entry type, the letters (alpha, -s) and
+        (beta, -t) act on self * other directly, and no inverse is built."""
+        if (self.root is not None and other.root is not None
+                and type(self.root[1]) is type(other.root[1])):
+            (alpha, s), (beta, t) = self.root, other.root
+            letters = self.model._letters
+            g = _add_multiples((self * other).matrix, letters[alpha], -s, right=True)
+            return GroupElement(self.model, _add_multiples(g, letters[beta], -t, right=True))
         return self * other * self.inverse() * other.inverse()
 
     def is_identity(self) -> bool:
@@ -249,18 +267,19 @@ class GroupElement:
         return "GroupElement(%r)" % (self.matrix,)
 
 
-def _add_multiples(g: Matrix, e: Matrix, letters, right: bool) -> Matrix:
-    """g * e (right) or e * g (not right) for a root element matrix e.
+def _add_multiples(g: Matrix, letters, t, right: bool) -> Matrix:
+    """g * e(alpha, t) (right) or e(alpha, t) * g (not right), read from the
+    letters (i, j, c) of X_alpha and t, with no matrix for e(alpha, t).
 
-    For each nonzero entry (i, j) of X_alpha, column j of g gains column i
-    times e[i, j] (right), or row i gains e[i, j] times row j.  Sources are
+    For each entry (i, j, c), column j of g gains column i times c*t (right),
+    or row i gains c*t times row j; c*t is t itself when c = 1.  Sources are
     read from g and the sums written to a copy; zero sources are skipped.
     """
     n = g.nrows
     src = g.entries
     out = list(src)
-    for i, j, _ in letters:
-        coeff = e.entries[i * n + j]
+    for i, j, c in letters:
+        coeff = t if c == 1 else t * scalar_into(c, t)
         if right:
             s0, d0, step = i, j, n
         else:

@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 
 from .kernel import (
     Matrix,
+    QQ,
     SingularMatrixError,
     pdivmod,
     pmul,
@@ -69,7 +70,7 @@ class TracelessMatrices:
         return tuple(out)
 
     def from_coords(self, coords: Sequence) -> Matrix:
-        cs = [Fraction(c) for c in coords]
+        cs = [QQ.coerce(c) for c in coords]
         if len(cs) != self.dim:
             raise ValueError("expected %d coordinates, got %d" % (self.dim, len(cs)))
         n = self.n
@@ -125,7 +126,7 @@ class HeisenbergLikeGroup:
     def element(self, a: Matrix, b: Matrix, c) -> "HeisenbergElement":
         if not (self.lie.contains(a) and self.lie.contains(b)):
             raise ValueError("components must lie in the algebra")
-        return HeisenbergElement(self, a, b, Fraction(c))
+        return HeisenbergElement(self, a, b, QQ.coerce(c))
 
 
 class HeisenbergElement:
@@ -416,12 +417,12 @@ class FinDimAlgebra:
         n = self.dim
         if n == 0:
             raise AlgebraAxiomError("the algebra has dimension 0, so 1 = 0; give a basis")
-        self.tensor = tuple(tuple(tuple(Fraction(c) for c in row) for row in plane)
+        self.tensor = tuple(tuple(tuple(QQ.coerce(c) for c in row) for row in plane)
                             for plane in tensor)
         if len(self.tensor) != n or any(len(p) != n for p in self.tensor) or any(
                 len(r) != n for p in self.tensor for r in p):
             raise AlgebraAxiomError("structure tensor must be %d^3" % n)
-        self.unit = tuple(Fraction(u) for u in unit)
+        self.unit = tuple(QQ.coerce(u) for u in unit)
         if len(self.unit) != n:
             raise AlgebraAxiomError("unit vector has wrong length")
         # the nonzero (k, c) entries of each product b_i * b_j

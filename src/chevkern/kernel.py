@@ -212,7 +212,7 @@ class NumberField:
                     "defining polynomial has rational root %s, not irreducible" % roots[0])
 
     def element(self, coords: Iterable) -> "NumberFieldElement":
-        cs = tuple(Fraction(c) for c in coords)
+        cs = tuple(QQ.coerce(c) for c in coords)
         if len(cs) != self.degree:
             raise ValueError("expected %d coordinates, got %d" % (self.degree, len(cs)))
         return NumberFieldElement(self, cs)
@@ -597,6 +597,16 @@ _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Pow, ast.Div)
 MAX_PARSE_DEGREE = 64
 # the most terms a parsed power or product may expand to
 MAX_PARSE_TERMS = 1024
+# the largest coefficient size a parsed power or product may reach, in bits:
+# n * _coefficient_bits(p) for p^n, the sum over both factors for a product
+MAX_PARSE_BITS = 2048
+
+
+def _coefficient_bits(p: "MultiPoly") -> int:
+    """The bit size of p's largest numerator or denominator plus ceil(lg terms)."""
+    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in p.terms.values()), default=0)
+    return bits + max(len(p.terms) - 1, 0).bit_length()
 
 
 def parse_polynomial(text: str, variables=None) -> MultiPoly:
@@ -609,6 +619,11 @@ def parse_polynomial(text: str, variables=None) -> MultiPoly:
         tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
     except SyntaxError as exc:
         raise ValueError("cannot parse polynomial %r: %s" % (text, exc)) from None
+
+    def check_bits(bits, what):
+        if bits > MAX_PARSE_BITS:
+            raise ValueError("%s of coefficients up to %d bits exceeds the limit %d in %r"
+                             % (what, bits, MAX_PARSE_BITS, text))
 
     def build(node):
         if isinstance(node, ast.Expression):
@@ -624,6 +639,7 @@ def parse_polynomial(text: str, variables=None) -> MultiPoly:
                 if terms > MAX_PARSE_TERMS:
                     raise ValueError("product of %d terms exceeds the limit %d in %r"
                                      % (terms, MAX_PARSE_TERMS, text))
+                check_bits(_coefficient_bits(left) + _coefficient_bits(right), "product")
                 return left * right
             if isinstance(node.op, ast.Pow):
                 if not isinstance(right, MultiPoly) or not right.is_constant():
@@ -643,6 +659,7 @@ def parse_polynomial(text: str, variables=None) -> MultiPoly:
                 if terms > MAX_PARSE_TERMS:
                     raise ValueError("power of up to %d terms exceeds the limit %d in %r"
                                      % (terms, MAX_PARSE_TERMS, text))
+                check_bits(int(n) * _coefficient_bits(left), "power")
                 return left ** int(n)
             # division: by a nonzero constant only
             if not isinstance(right, MultiPoly) or not right.is_constant():

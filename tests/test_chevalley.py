@@ -216,6 +216,89 @@ def test_word_path_makes_no_dense_product(kind):
                      "perfectness": (0, 0)}
 
 
+def _count_root_elements(monkeypatch):
+    """A list that gains the root of each ChevalleyModel.e call from now on."""
+    built = []
+    e = chevalley.ChevalleyModel.e
+
+    def counted(self, alpha, t):
+        built.append(alpha)
+        return e(self, alpha, t)
+
+    monkeypatch.setattr(chevalley.ChevalleyModel, "e", counted)
+    return built
+
+
+@pytest.mark.parametrize("ring", ["Q", "trunc3", "poly"])
+@pytest.mark.parametrize("kind", ["A2", "C2"])
+def test_word_and_commutator_build_one_root_element_matrix(monkeypatch, kind, ring):
+    # a word builds only its first letter as a matrix, and a commutator of
+    # two root elements builds none: no inverse and no formula word
+    m = build_model(kind)
+    rng = random.Random(43)
+    built = _count_root_elements(monkeypatch)
+    for length in range(1, 8):
+        letters = [(rng.choice(m.system.roots), _word_params(ring, rng))
+                   for _ in range(length)]
+        del built[:]
+        m.word(letters)
+        assert built == [letters[0][0]]
+    for alpha, beta in ordered_root_pairs(m.system):
+        x, y = m.e(alpha, _word_params(ring, rng)), m.e(beta, _word_params(ring, rng))
+        del built[:]
+        x.commutator(y)
+        assert built == []
+
+
+def test_verify_commutator_builds_its_inputs_and_one_formula_letter(monkeypatch):
+    # e(alpha, s) and e(beta, t), then the first letter of the formula word
+    # when the root string is nonempty
+    m = build_model("A2")
+    constants = load_structure_constants("A2")
+    s, t, _ = _letter_params("trunc3")
+    built = _count_root_elements(monkeypatch)
+    counts = {}
+    for alpha, beta in ordered_root_pairs(m.system):
+        del built[:]
+        assert verify_commutator(m, alpha, beta, s, t, constants).ok
+        assert len(built) == (3 if m.string(alpha, beta) else 2)
+        counts[len(built)] = counts.get(len(built), 0) + 1
+    assert counts == {3: 12, 2: 18}
+
+
+@pytest.mark.parametrize("ring", ["Q", "trunc3", "generic2"])
+@pytest.mark.parametrize("kind", ["A2", "A3", "C2"])
+def test_root_element_commutator_matches_dense(kind, ring):
+    m = build_model(kind)
+    s, t, _ = _letter_params(ring)
+    xs = {alpha: m.e(alpha, s) for alpha in m.system.roots}
+    ys = {beta: m.e(beta, t) for beta in m.system.roots}
+    x_inv = {alpha: x.matrix.inv() for alpha, x in xs.items()}
+    y_inv = {beta: y.matrix.inv() for beta, y in ys.items()}
+    for alpha, x in xs.items():
+        for beta, y in ys.items():
+            got = x.commutator(y)
+            assert got.root is None
+            assert got.matrix == x.matrix * y.matrix * x_inv[alpha] * y_inv[beta], (alpha, beta)
+
+
+def test_word_mixing_a_rational_letter_into_a_truncated_word():
+    # a Q letter takes the dense product, and the entries stay TruncElements
+    m = build_model("A2")
+    algebra = TruncAlgebra(3)
+    s, t, _ = _letter_params("trunc3")
+    a, b = m.system.roots[0], m.system.roots[1]
+    for letters in ([(a, s), (b, Q(2, 3)), (a, t), (b, 5)],
+                    [(b, Q(-1, 4)), (a, s), (b, Q(3)), (a, t)]):
+        dense = Matrix.identity(m.n, like=algebra.one())
+        for alpha, u in letters:
+            u = algebra.coerce(u) if isinstance(u, (int, Q)) else u
+            dense = dense * (Matrix.identity(m.n, like=u) + m.nilpotent(alpha) * u)
+        got = m.word(letters).matrix
+        assert got == dense
+        assert all(isinstance(x, TruncElement) for x in got.entries)
+
+
 def test_w_and_h_block_forms():
     m = build_model("A2")
     a = Root((1, -1, 0))

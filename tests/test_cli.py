@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from chevkern import cli, rootsys
+from chevkern.derivations import LOCAL_VAR
 from chevkern.extensions import FinDimAlgebra
 from chevkern.rings import TruncAlgebra, TruncElement
 from chevkern.steinberg import TameSymbol
@@ -83,6 +84,27 @@ def test_derivations_input_file(tmp_path):
     scan = [r for r in payload["records"] if r["name"] == "smoothness scan"]
     assert scan and scan[0]["detail"]["flagged"] == 1
     assert scan[0]["status"] == "PASS"  # a jump is a finding, not a failure
+
+
+def test_derivations_suite_computes_each_relative_dimension_once(tmp_path, monkeypatch):
+    # the localization check compares with the dimension the suite's loop
+    # already holds, so the problem algebra's der_dim runs once per point
+    calls = []
+    der_dim = cli.der_dim
+
+    def counted(algebra, point, mode="relative"):
+        calls.append((LOCAL_VAR in algebra.variables, mode, sorted(point.items())))
+        return der_dim(algebra, point, mode)
+
+    monkeypatch.setattr(cli, "der_dim", counted)
+    code, _ = run_main(["derivations", "--format", "json"], tmp_path)
+    assert code == 0
+    on_problem = [point for local, _, point in calls if not local]
+    assert [dict(p) for p in on_problem] == [
+        {"X": 0, "Y": 0}, {"X": 1, "Y": 1}, {"X": 4, "Y": 8}]
+    # X = 1 and X = 4 lift to the localization at X, in relative mode
+    assert [(mode, dict(p)["X"]) for local, mode, p in calls if local] == [
+        ("relative", 1), ("relative", 4)]
 
 
 def test_number_ring_rigidity_record(tmp_path):

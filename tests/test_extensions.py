@@ -26,7 +26,7 @@ from chevkern.extensions import (
     reassemble,
     splitness_verdict,
 )
-from chevkern.kernel import Matrix, pdivmod, rref
+from chevkern.kernel import DomainMismatchError, Matrix, pdivmod, rref
 from chevkern.rings import TruncAlgebra
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -116,6 +116,37 @@ def test_from_coords_rejects_wrong_coordinate_count():
         lie.from_coords(coords[:-1])
     with pytest.raises(ValueError):
         lie.from_coords(coords + [Fraction(1)])
+
+
+# as Matrix.from_rows and TruncAlgebra.element do, the extension inputs refuse
+# a float or a string instead of reading it through Fraction
+_NOT_RATIONAL = [0.5, 1.0, "1/2"]
+
+
+@pytest.mark.parametrize("bad", _NOT_RATIONAL)
+def test_from_coords_refuses_floats_and_strings(bad):
+    lie = sl2()
+    with pytest.raises(DomainMismatchError):
+        lie.from_coords([bad, 1, 2])
+    assert lie.from_coords([Fraction(1, 2), 1, 2]).entry(0, 1) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("bad", _NOT_RATIONAL)
+def test_heisenberg_element_refuses_floats_and_strings(bad):
+    grp = HeisenbergLikeGroup(sl2())
+    zero = Matrix.zero(2, 2)
+    with pytest.raises(DomainMismatchError):
+        grp.element(zero, zero, bad)
+    assert grp.element(zero, zero, Fraction(1, 4)).c == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("bad", _NOT_RATIONAL)
+def test_fin_dim_algebra_refuses_floats_and_strings(bad):
+    with pytest.raises(DomainMismatchError):
+        FinDimAlgebra(["1"], [[[bad]]], [1])
+    with pytest.raises(DomainMismatchError):
+        FinDimAlgebra(["1"], [[[1]]], [bad])
+    assert FinDimAlgebra(["1"], [[[1]]], [Fraction(1)]).unit == (1,)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -6,6 +6,7 @@ import pytest
 
 from chevkern.kernel import (
     MAX_FIELD_DEGREE,
+    MAX_PARSE_BITS,
     MAX_PARSE_DEGREE,
     MAX_PARSE_TERMS,
     DomainMismatchError,
@@ -311,6 +312,17 @@ def test_number_field_cross_field_mix_fails():
         K.generator() + Q(1)
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1/2"])
+def test_number_field_element_refuses_floats_and_strings(bad):
+    # as NumberField.coerce and Matrix.from_rows do
+    K = NumberField("w", (-2, 0, 1))
+    with pytest.raises(DomainMismatchError):
+        K.element((bad, Q(3, 2)))
+    with pytest.raises(DomainMismatchError):
+        K.element((0, bad))
+    assert K.element((Q(1, 2), 1)) == K.from_rational(Q(1, 2)) + K.generator()
+
+
 def test_number_field_matrix_inverse():
     K = NumberField("w", (-2, 0, 1))
     w = K.generator()
@@ -448,6 +460,25 @@ def test_parse_polynomial_rejects_a_power_or_product_above_the_term_limit_fast()
     assert len(parse_polynomial("(X+Y+Z)^43").terms) == 990
     assert len(parse_polynomial("(X+Y+Z+W+V)^10").terms) == 1001
     assert parse_polynomial("(X-X)^5 + 0^0") == 1
+
+
+def test_parse_polynomial_rejects_a_power_or_product_above_the_coefficient_limit_fast():
+    # p^n is bounded by n * (p's largest numerator or denominator bit size +
+    # ceil(lg terms)), a product by the sum of its factors' bounds; both are
+    # checked before expanding
+    big = (10**40 + 1, 10**40 + 3, 10**40 + 7)
+    for text in ("(X/%d + Y/%d + 1/%d)^43" % big,
+                 "(X/%d + 1)^16" % 2**127,
+                 "(X/%d + 1)^9 * (Y/%d + 1)^9" % (2**127, 2**127),
+                 "%d^2" % 2**1500):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="limit %d" % MAX_PARSE_BITS):
+            parse_polynomial(text)
+        assert time.perf_counter() - start < 0.1, text
+    # the same shapes under the limit still parse
+    assert len(parse_polynomial("(X/%d + Y/%d + 1/%d)^15" % big).terms) == 136
+    assert parse_polynomial("(X/%d + 1)^15" % 2**127).degree() == 15
+    assert parse_polynomial("%d^2" % 2**1000) == 2**2000
 
 
 def test_parse_polynomial_rationals():
