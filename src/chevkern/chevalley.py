@@ -13,9 +13,9 @@ and the commutator formula
 
     [e(alpha, s), e(beta, t)] = prod e(i*alpha + j*beta, N_ij s^i t^j)
 
-whose integer constants N_ij in {+-1, +-2} are read off the symbolic
-commutator, certified by the one formula word they give, frozen as golden
-data, and re-verified over truncated rings.
+whose integer constants N_ij in {+-1, +-2} are read off the Lie bracket of
+the letter tables, cross-checked against the symbolic commutator and the one
+formula word it gives, and re-verified over truncated rings.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional
 
 from .kernel import (
@@ -41,9 +40,6 @@ from .kernel import (
 from .rings import TruncAlgebra, TruncElement
 from .rootsys import Root, RootSystem, enumerate_roots, root_string
 
-_DATA_DIR = Path(__file__).parent / "data"
-
-
 # the nonzero entries (i, j, c) of each X_alpha of C2 on the basis
 # (u1, u2, w1, w2), where the symplectic form pairs u_i with w_i
 _C2_LETTERS = {
@@ -56,6 +52,13 @@ _C2_LETTERS = {
     (0, 2): ((1, 3, 1),),
     (0, -2): ((3, 1, 1),),
 }
+
+
+def _letter_table(system: RootSystem) -> dict:
+    """A fresh table of the nonzero entries (i, j, c) of each X_alpha of the model."""
+    if system.family == "A":
+        return {r: ((r.coords.index(1), r.coords.index(-1), 1),) for r in system.roots}
+    return {Root(coords): entries for coords, entries in _C2_LETTERS.items()}
 
 
 def w_letters(alpha: Root, u):
@@ -84,16 +87,14 @@ class ChevalleyModel:
     def __init__(self, system: RootSystem):
         self.system = system
         self._strings = {}
+        self._letters = _letter_table(system)
         if system.family == "A":
             self.n = system.rank + 1
             self.lie_dim = self.n * self.n - 1
-            self._letters = {r: ((r.coords.index(1), r.coords.index(-1), 1),)
-                             for r in system.roots}
             self.omega = None
         else:
             self.n = 4
             self.lie_dim = 10
-            self._letters = {Root(coords): entries for coords, entries in _C2_LETTERS.items()}
             self.omega = Matrix.from_rows([
                 [0, 0, 1, 0],
                 [0, 0, 0, 1],
@@ -121,6 +122,10 @@ class ChevalleyModel:
         except KeyError:
             raise ValueError("%r is not a root of %s" % (alpha, self.system.kind)) from None
 
+    def _scaled(self, alpha: Root, t) -> list:
+        """The entries (i, j, c*t) of t*X_alpha; c*t is t when c = 1.  Only here is c*t formed."""
+        return [(i, j, t if c == 1 else t * scalar_into(c, t)) for i, j, c in self._entries(alpha)]
+
     def string(self, alpha: Root, beta: Root) -> tuple:
         """The root string (i, j, root) of (alpha, beta), computed once per pair."""
         try:
@@ -145,8 +150,8 @@ class ChevalleyModel:
         one = one_like(t)
         zero = zero_like(t)
         entries = [one if i == j else zero for i in range(n) for j in range(n)]
-        for i, j, c in self._entries(alpha):  # off the diagonal, each position once
-            entries[i * n + j] = t if c == 1 else t * scalar_into(c, t)
+        for i, j, x in self._scaled(alpha, t):  # off the diagonal, each position once
+            entries[i * n + j] = x
         return GroupElement(self, Matrix(n, n, tuple(entries)), (alpha, t))
 
     def word(self, letters, like=None) -> "GroupElement":
@@ -159,7 +164,7 @@ class ChevalleyModel:
         for alpha, t in letters:
             t = as_ring_element(t)
             if g is not None and type(t) is type(g.matrix.entries[0]):
-                g = GroupElement(self, _add_multiples(g.matrix, self._entries(alpha), t,
+                g = GroupElement(self, _add_multiples(g.matrix, self._scaled(alpha, t),
                                                       right=True))
             else:
                 x = self.e(alpha, t)
@@ -216,22 +221,19 @@ class GroupElement:
 
         g * e(alpha, t) = g + g*(t X_alpha) adds c*t times a column of g to
         another column for each entry (i, j, c) of X_alpha, and e(alpha, t) * g
-        does the same with rows, the letter (alpha, t) read from the ``root``
-        tag.  Factors over different entry types take the dense product, so
-        the entry types of the result stay as they were.
+        does the same with rows, alpha read from the ``root`` tag and each c*t
+        from the factor's matrix.  Factors over different entry types take the
+        dense product, so the entry types of the result stay as they were.
         """
         if not isinstance(other, GroupElement) or other.model is not self.model:
             raise ValueError("group elements from different models")
         a, b = self.matrix, other.matrix
         if type(a.entries[0]) is type(b.entries[0]):
-            if other.root is not None:
-                alpha, t = other.root
-                return GroupElement(self.model, _add_multiples(
-                    a, self.model._letters[alpha], t, right=True))
-            if self.root is not None:
-                alpha, t = self.root
-                return GroupElement(self.model, _add_multiples(
-                    b, self.model._letters[alpha], t, right=False))
+            for g, x, right in ((a, other, True), (b, self, False)):
+                if x.root is not None:  # each c*t read where e() stored it
+                    n, letters = g.nrows, self.model._letters[x.root[0]]
+                    scaled = [(i, j, x.matrix.entries[i * n + j]) for i, j, _ in letters]
+                    return GroupElement(self.model, _add_multiples(g, scaled, right))
         return GroupElement(self.model, a * b)
 
     def inverse(self) -> "GroupElement":
@@ -247,9 +249,9 @@ class GroupElement:
         if (self.root is not None and other.root is not None
                 and type(self.root[1]) is type(other.root[1])):
             (alpha, s), (beta, t) = self.root, other.root
-            letters = self.model._letters
-            g = _add_multiples((self * other).matrix, letters[alpha], -s, right=True)
-            return GroupElement(self.model, _add_multiples(g, letters[beta], -t, right=True))
+            model = self.model
+            g = _add_multiples((self * other).matrix, model._scaled(alpha, -s), right=True)
+            return GroupElement(model, _add_multiples(g, model._scaled(beta, -t), right=True))
         return self * other * self.inverse() * other.inverse()
 
     def is_identity(self) -> bool:
@@ -267,19 +269,18 @@ class GroupElement:
         return "GroupElement(%r)" % (self.matrix,)
 
 
-def _add_multiples(g: Matrix, letters, t, right: bool) -> Matrix:
+def _add_multiples(g: Matrix, scaled, right: bool) -> Matrix:
     """g * e(alpha, t) (right) or e(alpha, t) * g (not right), read from the
-    letters (i, j, c) of X_alpha and t, with no matrix for e(alpha, t).
+    entries (i, j, c*t) of t*X_alpha, with no matrix for e(alpha, t).
 
-    For each entry (i, j, c), column j of g gains column i times c*t (right),
-    or row i gains c*t times row j; c*t is t itself when c = 1.  Sources are
-    read from g and the sums written to a copy; zero sources are skipped.
+    For each entry (i, j, coeff), column j of g gains column i times coeff
+    (right), or row i gains coeff times row j.  Sources are read from g and
+    the sums written to a copy; zero sources are skipped.
     """
     n = g.nrows
     src = g.entries
     out = list(src)
-    for i, j, c in letters:
-        coeff = t if c == 1 else t * scalar_into(c, t)
+    for i, j, coeff in scaled:
         if right:
             s0, d0, step = i, j, n
         else:
@@ -295,42 +296,57 @@ def _add_multiples(g: Matrix, letters, t, right: bool) -> Matrix:
 # ---------------------------------------------------------------------------
 # commutator structure constants
 
+@dataclass
 class StructureConstants:
     """The integer constants N_ij of the commutator formula, per ordered pair."""
-
-    def __init__(self, kind: str, table: dict):
-        self.kind = kind
-        self.table = dict(table)
+    kind: str
+    table: dict  # (alpha.coords, beta.coords, i, j) -> N_ij
 
     def get(self, alpha: Root, beta: Root, i: int, j: int) -> int:
-        key = (alpha.coords, beta.coords, i, j)
-        if key not in self.table:
-            raise KeyError("no constant recorded for %s" % (key,))
-        return self.table[key]
+        return self.table[alpha.coords, beta.coords, i, j]  # a KeyError names the key
 
-    @staticmethod
-    def from_lines(kind: str, lines) -> "StructureConstants":
-        table = {}
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            a, b, i, j, n = line.split()
-            key = (tuple(int(c) for c in a.split(",")),
-                   tuple(int(c) for c in b.split(",")), int(i), int(j))
-            table[key] = int(n)
-        return StructureConstants(kind, table)
 
-    def __eq__(self, other):
-        return (isinstance(other, StructureConstants)
-                and self.kind == other.kind and self.table == other.table)
+def _bracket(a: dict, b: dict) -> dict:
+    """AB - BA of two sparse matrices {(i, j): c}, without its zero entries."""
+    out = {}
+    for (i, k), x in a.items():
+        for (l, j), y in b.items():
+            if k == l:
+                out[i, j] = out.get((i, j), 0) + x * y
+            if j == i:
+                out[l, k] = out.get((l, k), 0) - y * x
+    return {key: v for key, v in out.items() if v}
+
+
+def _constant(x, c, alpha: Root, beta: Root, i: int, j: int) -> int:
+    """N_ij = x / c, x read at the first letter (p, q, c) of i*alpha + j*beta."""
+    n = Fraction(x, c)
+    if n not in (1, -1, 2, -2):
+        raise ModelInconsistencyError("pair (%r, %r) reads N_%d%d = %s, not +-1 or +-2"
+                                      % (alpha, beta, i, j, n))
+    return int(n)
 
 
 def load_structure_constants(kind: str) -> StructureConstants:
-    path = _DATA_DIR / ("structure_constants_%s.txt" % kind.upper())
-    if not path.exists():
-        raise FileNotFoundError("no frozen constants for %s" % kind)
-    return StructureConstants.from_lines(kind.upper(), path.read_text().splitlines())
+    """Every N_ij off the Lie bracket of the letter tables, with no group element:
+    X_alpha^2 = 0 makes e(alpha, s) = exp(sA), so for A = X_alpha and B = X_beta the
+    commutator's st, s^2 t and s t^2 coefficients [A, B], [A, [A, B]]/2 and [B, [A, B]]/2
+    (i * j is the 2) hold c N_ij at the first letter (p, q, c) of i*alpha + j*beta."""
+    system = enumerate_roots(kind)
+    letters = _letter_table(system)
+    sparse = {r: {(i, j): c for i, j, c in entries} for r, entries in letters.items()}
+    table = {}
+    for alpha, beta in ordered_root_pairs(system):
+        a, b = sparse[alpha], sparse[beta]
+        ab = _bracket(a, b)
+        if not ab:  # root strings are unbroken: no i*alpha + j*beta is a root
+            continue
+        for i, j, x in ((1, 1, ab), (2, 1, _bracket(a, ab)), (1, 2, _bracket(b, ab))):
+            if x:  # of weight i*alpha + j*beta, so nonzero only on a root
+                p, q, c = letters[alpha.scale(i) + beta.scale(j)][0]
+                table[alpha.coords, beta.coords, i, j] = _constant(
+                    x.get((p, q), 0), i * j * c, alpha, beta, i, j)
+    return StructureConstants(system.kind, table)
 
 
 def ordered_root_pairs(system: RootSystem):
@@ -405,12 +421,8 @@ def infer_structure_constants(model: ChevalleyModel,
         for i, j, gamma in string:
             p, q, c = model._entries(gamma)[0]
             x = lhs.entry(p, q) if ring is None else lhs.entry(p, q).coeff(0)
-            n = x.coefficient({"s0": i, "t0": j}) / c
-            if n not in (1, -1, 2, -2):
-                raise ModelInconsistencyError("pair (%r, %r) reads N_%d%d = %s, not +-1 or +-2"
-                                              % (alpha, beta, i, j, n))
-            read.append(int(n))
-            table[(alpha.coords, beta.coords, i, j)] = int(n)
+            read.append(_constant(x.coefficient({"s0": i, "t0": j}), c, alpha, beta, i, j))
+            table[(alpha.coords, beta.coords, i, j)] = read[-1]
         if not model.word(_formula_letters(string, s, t, read)).matrix == lhs:
             raise ModelInconsistencyError("pair (%r, %r): the formula with the read constants"
                                           " %s is not the commutator" % (alpha, beta, tuple(read)))

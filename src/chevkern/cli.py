@@ -470,7 +470,7 @@ def load_inputs(cfg, suites) -> None:
     if {"relations", "symbols", "filtration"} & set(suites):
         cfg.model = build_model(cfg.system)
     if "relations" in suites:
-        # keyed by the normalized kind, so that b2 finds C2's table
+        # read off the Lie bracket of the model's letter tables, for every system
         cfg.constants = load_structure_constants(cfg.model.system.kind)
     if "symbols" in suites:
         cfg.symbol = TameSymbol(cfg.prime)

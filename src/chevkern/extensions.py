@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .kernel import (
+    MAX_PARSE_BITS,
     Matrix,
     QQ,
     SingularMatrixError,
@@ -569,7 +571,7 @@ class FinDimAlgebra:
             if head in ("dim", "basis", "unit") and tail:
                 if head in fields:
                     raise ValueError("second %s line %r" % (head, raw))
-                fields[head] = tail.split()
+                fields[head] = _coordinates(tail, raw) if head == "unit" else tail.split()
                 if head == "dim" and len(fields[head]) != 1:
                     raise ValueError("dim line %r must hold one number" % raw)
             elif "=" in line and "*" in line:
@@ -577,14 +579,13 @@ class FinDimAlgebra:
                 a, b = (s.strip() for s in head.split("*", 1))
                 if (a, b) in products:
                     raise ValueError("second product line for %s*%s: %r" % (a, b, raw))
-                products[(a, b)] = (raw, tuple(Fraction(tok) for tok in tail.split()))
+                products[(a, b)] = (raw, _coordinates(tail, raw))
             else:
                 raise ValueError("cannot parse line %r" % raw)
         if len(fields) < 3:
             raise ValueError("file must declare dim, basis, and unit")
         dim = int(fields["dim"][0])
         names = tuple(fields["basis"])
-        unit = tuple(Fraction(tok) for tok in fields["unit"])
         if len(names) != dim:
             raise ValueError("basis names do not match the declared dimension")
         for (a, b), (raw, _) in products.items():
@@ -601,11 +602,22 @@ class FinDimAlgebra:
                     raise ValueError("product %s*%s has wrong length" % (a, b))
                 plane.append(vec)
             tensor.append(tuple(plane))
-        return FinDimAlgebra(names, tuple(tensor), unit)
+        return FinDimAlgebra(names, tuple(tensor), fields["unit"])
 
     @staticmethod
     def load(path) -> "FinDimAlgebra":
         return FinDimAlgebra.parse(Path(path).read_text())
+
+
+def _coordinates(tail: str, raw: str) -> tuple:
+    """tail's tokens in the form str(Fraction) writes, parts of at most MAX_PARSE_BITS bits."""
+    for tok in tail.split():
+        if not re.fullmatch(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?", tok) or any(
+                len(part) > MAX_PARSE_BITS or int(part).bit_length() > MAX_PARSE_BITS
+                for part in tok.lstrip("-").split("/")):
+            raise ValueError("line %r: %r is not an integer or a/b with parts of at most %d bits"
+                             % (raw, tok, MAX_PARSE_BITS))
+    return tuple(Fraction(tok) for tok in tail.split())
 
 
 # ---------------------------------------------------------------------------

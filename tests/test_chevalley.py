@@ -266,6 +266,26 @@ def test_verify_commutator_builds_its_inputs_and_one_formula_letter(monkeypatch)
     assert counts == {3: 12, 2: 18}
 
 
+@pytest.mark.parametrize("kind, products", [("A2", 126), ("C2", 492)])
+def test_root_element_factor_reads_each_coefficient_off_its_matrix(monkeypatch, kind, products):
+    # g * e(alpha, t) reads each c*t where e() stored it instead of forming it
+    # again; only C2 has letters with c != 1, and forming them again made 506
+    m = build_model(kind)
+    constants = load_structure_constants(kind)
+    s, t, _ = _letter_params("trunc3")
+    calls = []
+    mul = TruncElement.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncElement, "__mul__", counted)
+    for alpha, beta in ordered_root_pairs(m.system):
+        assert verify_commutator(m, alpha, beta, s, t, constants).ok
+    assert len(calls) == products
+
+
 @pytest.mark.parametrize("ring", ["Q", "trunc3", "generic2"])
 @pytest.mark.parametrize("kind", ["A2", "A3", "C2"])
 def test_root_element_commutator_matches_dense(kind, ring):
@@ -361,6 +381,45 @@ def test_inference_matches_golden():
         assert inferred == golden
 
 
+@pytest.mark.parametrize("kind", ["A2", "A3", "A4", "A5", "A6"])
+def test_bracket_readout_equals_inference(kind):
+    # the Lie bracket of the letter tables and the symbolic commutator agree
+    assert load_structure_constants(kind) == infer_structure_constants(build_model(kind))
+
+
+def test_bracket_readout_forms_no_group_element(monkeypatch):
+    # the readout builds no model and no matrix, so it is an oracle for the
+    # commutators that inference and verify_commutator form
+    def refuse(*args):
+        raise AssertionError("the readout formed a group element")
+
+    golden = {kind: load_structure_constants(kind) for kind in ("A2", "A8", "C2")}
+    monkeypatch.setattr(chevalley.ChevalleyModel, "__init__", refuse)
+    monkeypatch.setattr(chevalley.GroupElement, "__init__", refuse)
+    for kind, constants in golden.items():
+        assert load_structure_constants(kind) == constants
+    assert load_structure_constants("b2") == golden["C2"]
+
+
+@pytest.mark.parametrize("kind, coords, scale, message", [
+    # as in the inference test below: the shared check names the same pair
+    ("A2", (1, 0, -1), 3, "pair (Root(-1, 1, 0), Root(1, 0, -1)) reads N_11 = 3,"),
+    # read off the half bracket [B, [A, B]]/2
+    ("C2", (1, 1), 2, "pair (Root(-2, 0), Root(1, 1)) reads N_12 = 4,"),
+], ids=["A2", "C2"])
+def test_bracket_readout_rejects_a_forged_letter(monkeypatch, kind, coords, scale, message):
+    letter_table = chevalley._letter_table
+
+    def forged(system):
+        table = letter_table(system)
+        table[Root(coords)] = tuple((i, j, scale * c) for i, j, c in table[Root(coords)])
+        return table
+
+    monkeypatch.setattr(chevalley, "_letter_table", forged)
+    with pytest.raises(ModelInconsistencyError, match=re.escape(message)):
+        load_structure_constants(kind)
+
+
 _INFERENCE_RINGS = [pytest.param(None, id="Q[s,t]"),
                     pytest.param(TruncAlgebra(2, PolyDomain()), id="Q[s..,t..][e]/(e^2)")]
 
@@ -453,7 +512,8 @@ def test_forged_constants_fail():
     assert not check.ok
 
 
-@pytest.mark.parametrize("kind, count", [("A2", 12), ("A3", 48), ("C2", 24)])
+@pytest.mark.parametrize("kind, count", [("A2", 12), ("A3", 48), ("C2", 24), ("A4", 120),
+                                         ("A5", 240), ("A6", 420), ("A7", 672), ("A8", 1008)])
 def test_frozen_constants_obey_chevalley_theorem(kind, count):
     # |N_{alpha,beta}| = p + 1 with p the largest integer such that
     # beta - p*alpha is a root (Carter, Simple Groups of Lie Type, Thm 4.1.2);

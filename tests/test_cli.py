@@ -399,9 +399,9 @@ def test_all_keeps_every_other_suite_after_a_fault(tmp_path, monkeypatch):
     (["filtration", "--input", "/does/not/exist"], 2),
     # a point that sets X twice on the cusp, where X=1 Y=1 alone lies
     (["derivations", "--input", "TWICE"], 2),
-    # relations needs frozen structure constants: A2, A3 and C2 (b2 is C2)
-    (["relations", "--system", "A4"], 2),
-    (["all", "--system", "A4"], 2),
+    # relations reads its constants off the letter tables of every system (b2 is C2)
+    (["relations", "--system", "A4"], 0),
+    (["all", "--system", "A4"], 0),
     (["relations", "--system", "b2"], 0),
     # A_l above rootsys.MAX_RANK = 8 is refused for every suite that builds a model
     (["symbols", "--system", "A9"], 2),
@@ -444,6 +444,19 @@ def test_rank_above_the_limit_exits_2_fast(tmp_path, capsys):
             assert time.perf_counter() - start < 0.1
             assert code == 2
             assert "supported systems are A2 to A8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_algebra_file_token_in_exponent_notation_exits_2_fast(tmp_path, capsys):
+    # Fraction would expand 1e64001 to a 212607-bit integer and the run would pass
+    table = tmp_path / "algebra.txt"
+    FinDimAlgebra.truncated(2).save(table)
+    table.write_text(table.read_text().replace("e*e = 0 0", "e*e = 1e64001 0"))
+    start = time.perf_counter()
+    assert cli.main(["extensions", "--input", str(table),
+                     "--output", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert "line 'e*e = 1e64001 0': '1e64001' is not an integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -26,7 +26,7 @@ from chevkern.extensions import (
     reassemble,
     splitness_verdict,
 )
-from chevkern.kernel import DomainMismatchError, Matrix, pdivmod, rref
+from chevkern.kernel import MAX_PARSE_BITS, DomainMismatchError, Matrix, pdivmod, rref
 from chevkern.rings import TruncAlgebra
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -783,6 +783,32 @@ def test_algebra_parse_rejects_a_dim_line_with_two_numbers(dim_line):
     assert lines[0] == "dim 2"
     with pytest.raises(ValueError, match=re.escape(repr(dim_line))):
         FinDimAlgebra.parse("\n".join([dim_line] + lines[1:]))
+
+
+@pytest.mark.parametrize("token", [
+    "1e64001", "1e-64001", "2.5e99999",  # exponent notation would expand 10^k
+    "%d/3" % 2**2048, "3/%d" % 2**2048,  # a part of 2049 bits
+    "1/0", "1.5", "+1", "1_000", "01",  # not in the form str(Fraction) writes
+], ids=["1e64001", "1e-64001", "2.5e99999", "big-num", "big-den", "1/0", "1.5", "+1",
+        "1_000", "01"])
+@pytest.mark.parametrize("line", ["unit", "product"])
+def test_algebra_parse_refuses_a_token_fast(token, line):
+    # each refusal names its line and the bit limit, before any Fraction is built
+    lines = FinDimAlgebra.truncated(2).to_lines()
+    k = 2 if line == "unit" else len(lines) - 1
+    lines[k] = lines[k].rsplit(" ", 1)[0] + " " + token
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape("line %r: %r" % (lines[k], token))
+                       + ".* %d bits" % MAX_PARSE_BITS):
+        FinDimAlgebra.parse("\n".join(lines))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_algebra_parse_reads_parts_up_to_the_bit_limit():
+    big = 2**MAX_PARSE_BITS - 1
+    lines = FinDimAlgebra.truncated(2).to_lines()
+    lines[-1] = lines[-1].rsplit(" ", 1)[0] + " -%d/%d" % (big, big - 2)
+    assert FinDimAlgebra.parse("\n".join(lines)).tensor[1][1][1] == Fraction(-big, big - 2)
 
 
 def test_decompose_names_what_blocks_two_gaussian_residue_fields():
