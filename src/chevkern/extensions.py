@@ -546,14 +546,15 @@ class FinDimAlgebra:
     # -- serialization ------------------------------------------------------------------
 
     def to_lines(self):
-        lines = ["dim %d" % self.dim,
-                 "basis %s" % " ".join(self.names),
-                 "unit %s" % " ".join(str(u) for u in self.unit)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                lines.append("%s*%s = %s" % (
-                    self.names[i], self.names[j],
-                    " ".join(str(c) for c in self.tensor[i][j])))
+        """The lines ``parse`` reads; a value that ``parse`` refuses is refused here."""
+        rows = [("unit", self.unit)] + [("%s*%s =" % (a, b), self.tensor[i][j])
+                                        for i, a in enumerate(self.names)
+                                        for j, b in enumerate(self.names)]
+        lines = ["dim %d" % self.dim, "basis %s" % " ".join(self.names)]
+        for head, values in rows:
+            tail = " ".join(_token(c) for c in values)
+            lines.append("%s %s" % (head, tail))
+            _coordinates(tail, lines[-1])
         return lines
 
     def save(self, path):
@@ -607,6 +608,14 @@ class FinDimAlgebra:
     @staticmethod
     def load(path) -> "FinDimAlgebra":
         return FinDimAlgebra.parse(Path(path).read_text())
+
+
+def _token(c: Fraction) -> str:
+    """str(c), or a stand-in naming c's size where a part is past Python's digit limit."""
+    try:
+        return str(c)
+    except ValueError:
+        return "<%d-bit-part>" % max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
 def _coordinates(tail: str, raw: str) -> tuple:

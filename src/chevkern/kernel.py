@@ -366,7 +366,7 @@ class MultiPoly:
         for e, c in terms.items():
             if c == 0:
                 continue
-            if isinstance(c, Fraction) and c.denominator == 1:
+            if type(c) is Fraction and c.denominator == 1:
                 c = c.numerator
             self.terms[e] = c
 
@@ -660,7 +660,12 @@ def parse_polynomial(text: str, variables=None) -> MultiPoly:
                     raise ValueError("power of up to %d terms exceeds the limit %d in %r"
                                      % (terms, MAX_PARSE_TERMS, text))
                 check_bits(int(n) * _coefficient_bits(left), "power")
-                return left ** int(n)
+                # the power of L * left, with L the lcm of its denominators,
+                # multiplies ints only; one scale by L^-n brings it back
+                scale = lcm(*(c.denominator for c in left.terms.values()))
+                if scale == 1:
+                    return left ** int(n)
+                return (left * scale) ** int(n) * Fraction(1, scale ** int(n))
             # division: by a nonzero constant only
             if not isinstance(right, MultiPoly) or not right.is_constant():
                 raise ValueError("division only by constants in %r" % text)
@@ -686,14 +691,15 @@ def parse_polynomial(text: str, variables=None) -> MultiPoly:
 # generic ring-element helpers
 
 def ring_of(x):
-    """The ring descriptor of an element: QQ for a rational, ``x.ring`` otherwise.
+    """The ring descriptor of an element: QQ for a rational, that is an object of
+    type exactly ``Fraction`` or ``int`` (not a ``bool``), ``x.ring`` otherwise.
 
     A descriptor has ``zero()``, ``one()``, ``coerce(c)`` for a rational c,
     ``inv(x)`` and ``is_field()``, and is its own identity: two elements
     share a domain exactly when their descriptors are equal.  QQ, PolyDomain,
     NumberField and TruncAlgebra implement it.
     """
-    if isinstance(x, (Fraction, int)):
+    if type(x) is Fraction or type(x) is int:
         return QQ
     try:
         return x.ring
@@ -720,7 +726,7 @@ def scalar_into(c, sample):
 
 
 def is_zero(x) -> bool:
-    return x == 0 if isinstance(x, Fraction) else x.is_zero()
+    return x == 0 if type(x) is Fraction else x.is_zero()
 
 
 def ring_inv(x):
@@ -1064,7 +1070,9 @@ class RationalDomain:
         return Fraction(1)
 
     def coerce(self, x):
-        if isinstance(x, (int, Fraction)):
+        if type(x) is Fraction:
+            return x
+        if type(x) is int:
             return Fraction(x)
         raise DomainMismatchError("cannot coerce %s into Q" % type(x).__name__)
 
@@ -1104,10 +1112,10 @@ class PolyDomain:
         return MultiPoly.constant(1, self.variables)
 
     def coerce(self, x):
-        if isinstance(x, (int, Fraction)):
-            return MultiPoly.constant(x, self.variables)
         if isinstance(x, MultiPoly):
             return x
+        if isinstance(x, (int, Fraction)):
+            return MultiPoly.constant(x, self.variables)
         raise DomainMismatchError("cannot coerce %s into %s" % (type(x).__name__, self.name))
 
     def inv(self, x):

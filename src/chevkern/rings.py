@@ -81,8 +81,8 @@ class TruncAlgebra:
         return self.element([p.coefficient({"e": k}) for k in range(self.d)])
 
     def __eq__(self, other):
-        return (isinstance(other, TruncAlgebra)
-                and self.d == other.d and self.base == other.base)
+        return self is other or (isinstance(other, TruncAlgebra)
+                                 and self.d == other.d and self.base == other.base)
 
     def __hash__(self):
         return hash(("TruncAlgebra", self.d, self.base))

@@ -1,5 +1,8 @@
+import abc
+import os
 import random
 import re
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -284,6 +287,31 @@ def test_root_element_factor_reads_each_coefficient_off_its_matrix(monkeypatch, 
     for alpha, beta in ordered_root_pairs(m.system):
         assert verify_commutator(m, alpha, beta, s, t, constants).ok
     assert len(calls) == products
+
+
+def test_commutator_check_takes_no_abc_instance_check(monkeypatch):
+    # Fraction's metaclass is ABCMeta, so isinstance(x, Fraction) on a
+    # MultiPoly, a TruncElement or an int runs ABCMeta.__instancecheck__; the
+    # scalar hot path tests exact types instead and runs none
+    package = os.path.dirname(chevalley.__file__) + os.sep
+    m = build_model("A2")
+    constants = load_structure_constants("A2")
+    generic, rational = TruncAlgebra(2, PolyDomain()), TruncAlgebra(4)
+    samples = [(generic.generic("s"), generic.generic("t")),
+               (rational.element([Q(1, 2), -1, 4, 3]), rational.element([3, 0, Q(-5, 2), 1]))]
+    calls = []
+    check = abc.ABCMeta.__instancecheck__
+
+    def counted(cls, instance):
+        if sys._getframe(1).f_code.co_filename.startswith(package):
+            calls.append((cls.__name__, type(instance).__name__))
+        return check(cls, instance)
+
+    monkeypatch.setattr(abc.ABCMeta, "__instancecheck__", counted)
+    for s, t in samples:
+        for alpha, beta in ordered_root_pairs(m.system):
+            assert verify_commutator(m, alpha, beta, s, t, constants).ok
+    assert calls == []
 
 
 @pytest.mark.parametrize("ring", ["Q", "trunc3", "generic2"])

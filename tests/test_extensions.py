@@ -811,6 +811,32 @@ def test_algebra_parse_reads_parts_up_to_the_bit_limit():
     assert FinDimAlgebra.parse("\n".join(lines)).tensor[1][1][1] == Fraction(-big, big - 2)
 
 
+def test_algebra_save_refuses_what_load_refuses(tmp_path):
+    # the constructor takes a 2101-bit coefficient, which parse refuses: save
+    # refuses it too, with the message load gives for the table written out
+    c = 2**2100 + 1
+    path = tmp_path / "big.txt"
+    with pytest.raises(ValueError) as saved:
+        FinDimAlgebra.from_univariate_quotient([c, 0, 1]).save(path)
+    assert not path.exists()
+    path.write_text("dim 2\nbasis 1 X\nunit 1 0\n1*1 = 1 0\n1*X = 0 1\nX*1 = 0 1\n"
+                    "X*X = %d 0\n" % -c)
+    with pytest.raises(ValueError) as loaded:
+        FinDimAlgebra.load(path)
+    assert str(saved.value) == str(loaded.value)
+    assert str(saved.value).endswith("parts of at most %d bits" % MAX_PARSE_BITS)
+
+
+def test_algebra_save_refuses_a_value_past_the_digit_limit(tmp_path):
+    # str() of a part over 4300 digits raises; save names the part's size instead
+    path = tmp_path / "huge.txt"
+    with pytest.raises(ValueError, match=re.escape(
+            "line 'X*X = <16610-bit-part> 0': '<16610-bit-part>' is not an integer or "
+            "a/b with parts of at most %d bits" % MAX_PARSE_BITS)):
+        FinDimAlgebra.from_univariate_quotient([10**5000 + 1, 0, 1]).save(path)
+    assert not path.exists()
+
+
 def test_decompose_names_what_blocks_two_gaussian_residue_fields():
     # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2): the CRT idempotents are
     # rational, but both residue fields are Q(i)

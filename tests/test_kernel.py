@@ -486,6 +486,19 @@ def test_parse_polynomial_rationals():
     assert poly_eval(p, {"X": Q(1)}) == Q(5, 6)
 
 
+def test_parse_polynomial_raises_a_rational_base_through_an_integer_one():
+    # (X/3 + Y/5 + 1/7)^43 is 105^-43 (35X + 21Y + 15)^43: the power multiplies
+    # ints only, and equals the power taken over the rationals
+    text = "(X/3+Y/5+1/7)^43"
+    start = time.perf_counter()
+    got = parse_polynomial(text)
+    assert time.perf_counter() - start < 0.15
+    want = parse_polynomial("X/3+Y/5+1/7") ** 43
+    assert got == want and got.variables == want.variables
+    assert all(type(got.terms[e]) is type(c) for e, c in want.terms.items())
+    assert parse_polynomial("(X/2 - 3)^2 - 1/4") == parse_polynomial("X^2/4 - 3*X + 35/4")
+
+
 # --- row_reduce and its callers against sympy ------------------------------
 
 def _sympy():
@@ -743,6 +756,16 @@ def test_ring_protocol_on_ints_and_non_elements():
     for helper in (domain_key, zero_like, ring_inv, as_ring_element):
         with pytest.raises(DomainMismatchError):
             helper(object())
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, "1/2", object()],
+                         ids=["True", "False", "float", "str", "object"])
+def test_ring_of_and_qq_coerce_refuse_what_is_not_a_rational(value):
+    # a rational is an object of type exactly Fraction or int: a bool is not one
+    with pytest.raises(DomainMismatchError):
+        ring_of(value)
+    with pytest.raises(DomainMismatchError):
+        QQ.coerce(value)
 
 
 class _Counted:
