@@ -3,13 +3,15 @@
 Each root alpha gets a nilpotent matrix X_alpha with X_alpha^2 = 0, kept as
 the table of its nonzero entries, and the root subgroup element
 e(alpha, t) = I + t*X_alpha over any commutative ring the parameter t lives
-in.  Every other element here is a word in root elements, which
-ChevalleyModel.word multiplies out: the monomial and diagonal elements
+in.  Every other element here is a word in root elements, a sequence of
+letters (alpha, t) that ChevalleyModel.word multiplies out: the monomial and
+diagonal elements
 
     w(alpha, u) = e(alpha, u) e(-alpha, -1/u) e(alpha, u)
     h(alpha, u) = w(alpha, u) w(alpha, -1)
 
-and the commutator formula
+any inverse (the letters reversed and negated), and both sides of the
+commutator formula, the left one the four-letter word x y x^{-1} y^{-1}
 
     [e(alpha, s), e(beta, t)] = prod e(i*alpha + j*beta, N_ij s^i t^j)
 
@@ -41,7 +43,8 @@ from .rings import TruncAlgebra, TruncElement
 from .rootsys import Root, RootSystem, enumerate_roots, root_string
 
 # the nonzero entries (i, j, c) of each X_alpha of C2 on the basis
-# (u1, u2, w1, w2), where the symplectic form pairs u_i with w_i
+# (u1, u2, w1, w2), and the symplectic form Omega that pairs u_i with w_i
+_C2_OMEGA = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
 _C2_LETTERS = {
     (1, -1): ((0, 1, 1), (3, 2, -1)),
     (-1, 1): ((1, 0, 1), (2, 3, -1)),
@@ -73,6 +76,16 @@ def h_letters(alpha: Root, u):
     return w_letters(alpha, u) + w_letters(alpha, -one_like(u))
 
 
+def inverse_letters(letters):
+    """The letters of the inverse of the word ``letters``: reversed, each t negated."""
+    return tuple((alpha, -t) for alpha, t in reversed(letters))
+
+
+def commutator_letters(xs, ys):
+    """The letters of the commutator [x, y] = x y x^{-1} y^{-1} of the words xs, ys."""
+    return tuple(xs) + tuple(ys) + inverse_letters(xs) + inverse_letters(ys)
+
+
 class ModelInconsistencyError(ArithmeticError):
     """Raised when commutator constants cannot be determined consistently."""
 
@@ -90,17 +103,11 @@ class ChevalleyModel:
         self._letters = _letter_table(system)
         if system.family == "A":
             self.n = system.rank + 1
-            self.lie_dim = self.n * self.n - 1
             self.omega = None
         else:
             self.n = 4
-            self.lie_dim = 10
-            self.omega = Matrix.from_rows([
-                [0, 0, 1, 0],
-                [0, 0, 0, 1],
-                [-1, 0, 0, 0],
-                [0, -1, 0, 0],
-            ])
+            self.omega = Matrix.from_rows(_C2_OMEGA)
+        self.lie_dim = len(system.roots) + system.rank  # one X_alpha per root, rank for the torus
         self._validate()
 
     def _validate(self):
@@ -158,14 +165,13 @@ class ChevalleyModel:
         """The product e(alpha_1, t_1) ... e(alpha_k, t_k) of the letters
         (alpha, t); the identity over ``like`` when there are no letters.  Only
         the first letter is built as a matrix: a later letter of the running
-        entry type acts by column operations (``_add_multiples``), one of
-        another type by the dense product, so the entry types stay as they were."""
+        entry type acts in place by column operations (``_add_multiples``), one
+        of another type by the dense product, so the entry types stay as they were."""
         g = None
         for alpha, t in letters:
             t = as_ring_element(t)
             if g is not None and type(t) is type(g.matrix.entries[0]):
-                g = GroupElement(self, _add_multiples(g.matrix, self._scaled(alpha, t),
-                                                      right=True))
+                g = GroupElement(self, _add_multiples(g.matrix, self._scaled(alpha, t)))
             else:
                 x = self.e(alpha, t)
                 g = x if g is None else g * x
@@ -217,42 +223,25 @@ class GroupElement:
         self.root = root
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        """Product; a root element factor acts by column or row operations.
+        """Product; a root element on the right acts by column operations.
 
         g * e(alpha, t) = g + g*(t X_alpha) adds c*t times a column of g to
-        another column for each entry (i, j, c) of X_alpha, and e(alpha, t) * g
-        does the same with rows, alpha read from the ``root`` tag and each c*t
-        from the factor's matrix.  Factors over different entry types take the
-        dense product, so the entry types of the result stay as they were.
+        another column for each entry (i, j, c) of X_alpha, alpha read from the
+        ``root`` tag and each c*t from the factor's matrix.  Any other product,
+        and factors over different entry types, take the dense product, so the
+        entry types of the result stay as they were.
         """
         if not isinstance(other, GroupElement) or other.model is not self.model:
             raise ValueError("group elements from different models")
         a, b = self.matrix, other.matrix
-        if type(a.entries[0]) is type(b.entries[0]):
-            for g, x, right in ((a, other, True), (b, self, False)):
-                if x.root is not None:  # each c*t read where e() stored it
-                    n, letters = g.nrows, self.model._letters[x.root[0]]
-                    scaled = [(i, j, x.matrix.entries[i * n + j]) for i, j, _ in letters]
-                    return GroupElement(self.model, _add_multiples(g, scaled, right))
+        if other.root is not None and type(a.entries[0]) is type(b.entries[0]):
+            n, letters = a.nrows, self.model._letters[other.root[0]]
+            scaled = [(i, j, b.entries[i * n + j]) for i, j, _ in letters]  # c*t as e() stored it
+            return GroupElement(self.model, _add_multiples(a, scaled))
         return GroupElement(self.model, a * b)
 
     def inverse(self) -> "GroupElement":
-        if self.root is not None:
-            alpha, t = self.root
-            return self.model.e(alpha, -t)
         return GroupElement(self.model, self.matrix.inv())
-
-    def commutator(self, other: "GroupElement") -> "GroupElement":
-        """[self, other] = self other self^{-1} other^{-1}; for root elements
-        e(alpha, s), e(beta, t) of one entry type, the letters (alpha, -s) and
-        (beta, -t) act on self * other directly, and no inverse is built."""
-        if (self.root is not None and other.root is not None
-                and type(self.root[1]) is type(other.root[1])):
-            (alpha, s), (beta, t) = self.root, other.root
-            model = self.model
-            g = _add_multiples((self * other).matrix, model._scaled(alpha, -s), right=True)
-            return GroupElement(model, _add_multiples(g, model._scaled(beta, -t), right=True))
-        return self * other * self.inverse() * other.inverse()
 
     def is_identity(self) -> bool:
         return self.matrix.is_identity()
@@ -269,27 +258,18 @@ class GroupElement:
         return "GroupElement(%r)" % (self.matrix,)
 
 
-def _add_multiples(g: Matrix, scaled, right: bool) -> Matrix:
-    """g * e(alpha, t) (right) or e(alpha, t) * g (not right), read from the
-    entries (i, j, c*t) of t*X_alpha, with no matrix for e(alpha, t).
-
-    For each entry (i, j, coeff), column j of g gains column i times coeff
-    (right), or row i gains coeff times row j.  Sources are read from g and
-    the sums written to a copy; zero sources are skipped.
-    """
+def _add_multiples(g: Matrix, scaled) -> Matrix:
+    """g * e(alpha, t) with no matrix for e(alpha, t): for each entry (i, j, c*t)
+    of t*X_alpha, column j of g gains column i times c*t.  Sources are read
+    from g and the sums written to a copy; zero sources are skipped."""
     n = g.nrows
     src = g.entries
     out = list(src)
     for i, j, coeff in scaled:
-        if right:
-            s0, d0, step = i, j, n
-        else:
-            s0, d0, step = j * n, i * n, 1
-        for r in range(n):
-            x = src[s0 + r * step]
+        for r in range(0, n * n, n):  # the first entry of each row
+            x = src[r + i]
             if not is_zero(x):
-                d = d0 + r * step
-                out[d] = out[d] + (x * coeff if right else coeff * x)
+                out[r + j] = out[r + j] + x * coeff
     return Matrix(n, n, tuple(out))
 
 
@@ -377,7 +357,7 @@ def verify_commutator(model: ChevalleyModel, alpha: Root, beta: Root, s, t,
     s = as_ring_element(s)
     t = as_ring_element(t)
     string = model.string(alpha, beta)
-    lhs = model.e(alpha, s).commutator(model.e(beta, t))
+    lhs = model.word(commutator_letters(((alpha, s),), ((beta, t),)))
     used = tuple((i, j, constants.get(alpha, beta, i, j)) for i, j, _ in string)
     rhs = model.word(_formula_letters(string, s, t, [n for _, _, n in used]),
                      like=one_like(s))
@@ -386,10 +366,8 @@ def verify_commutator(model: ChevalleyModel, alpha: Root, beta: Root, s, t,
 
 
 def verify_additivity(model: ChevalleyModel, alpha: Root, s, t) -> bool:
-    """e(alpha, s) e(alpha, t) = e(alpha, s + t)."""
-    s = as_ring_element(s)
-    t = as_ring_element(t)
-    return (model.e(alpha, s) * model.e(alpha, t)).matrix == model.e(alpha, s + t).matrix
+    """e(alpha, s) e(alpha, t) = e(alpha, s + t), the left side one word."""
+    return model.word(((alpha, s), (alpha, t))).matrix == model.e(alpha, s + t).matrix
 
 
 def infer_structure_constants(model: ChevalleyModel,
@@ -411,7 +389,7 @@ def infer_structure_constants(model: ChevalleyModel,
     table = {}
     for alpha, beta in ordered_root_pairs(model.system):
         string = model.string(alpha, beta)
-        lhs = model.e(alpha, s).commutator(model.e(beta, t)).matrix
+        lhs = model.word(commutator_letters(((alpha, s),), ((beta, t),))).matrix
         if not string:
             if not lhs.is_identity():
                 raise ModelInconsistencyError("empty root string but nontrivial commutator"
@@ -535,13 +513,10 @@ def perfectness_witness(model: ChevalleyModel, alpha: Root, r) -> PerfectnessWit
 
     The identity holds because conjugation by h(alpha, 2) scales the root
     parameter by 2^2 = 4, and 4 - 1 = 3 is a unit.  The commutator is
-    multiplied out as one word, h's letters reversed and negated for its
-    inverse.
+    multiplied out as one word.
     """
     r = as_ring_element(r)
     inner_param = r * scalar_into(Fraction(1, 3), r)
-    torus_letters = h_letters(alpha, scalar_into(Fraction(2), r))
-    got = model.word(torus_letters + ((alpha, inner_param),)
-                     + tuple((beta, -u) for beta, u in reversed(torus_letters))
-                     + ((alpha, -inner_param),))
+    got = model.word(commutator_letters(h_letters(alpha, scalar_into(Fraction(2), r)),
+                                        ((alpha, inner_param),)))
     return PerfectnessWitness(ok=(got.matrix == model.e(alpha, r).matrix))

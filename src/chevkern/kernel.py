@@ -231,7 +231,7 @@ class NumberField:
         return self.from_rational(1)
 
     def coerce(self, x) -> "NumberFieldElement":
-        if isinstance(x, (int, Fraction)):
+        if type(x) is int or type(x) is Fraction:  # a bool is not a rational
             return self.from_rational(x)
         if isinstance(x, NumberFieldElement) and x.field == self:
             return x
@@ -413,7 +413,7 @@ class MultiPoly:
 
     def _aligned(self, other):
         if type(other) is not MultiPoly:
-            if isinstance(other, (int, Fraction)):
+            if type(other) is int or type(other) is Fraction:  # a bool is not a rational
                 return self, MultiPoly.constant(other, self.variables)
             if not isinstance(other, MultiPoly):
                 raise DomainMismatchError(
@@ -453,7 +453,8 @@ class MultiPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, MultiPoly) else -Fraction(other))
+        a, b = self._aligned(other)
+        return a + -b
 
     def __rsub__(self, other):
         return (-self) + other
@@ -514,7 +515,7 @@ class MultiPoly:
         return MultiPoly(self.variables, terms)
 
     def __eq__(self, other):
-        if not isinstance(other, (MultiPoly, int, Fraction)):
+        if type(other) is not MultiPoly and type(other) is not int and type(other) is not Fraction:
             return NotImplemented
         a, b = self._aligned(other)
         return a.terms == b.terms
@@ -755,8 +756,8 @@ def ring_pow(x, n: int):
 
 
 def as_ring_element(x):
-    """Normalize plain integers to Fraction; pass ring elements through."""
-    if isinstance(x, int):
+    """Normalize plain integers to Fraction; pass ring elements through (a bool is neither)."""
+    if type(x) is int:
         return Fraction(x)
     ring_of(x)  # rejects anything that is not a ring element
     return x
@@ -1114,7 +1115,7 @@ class PolyDomain:
     def coerce(self, x):
         if isinstance(x, MultiPoly):
             return x
-        if isinstance(x, (int, Fraction)):
+        if type(x) is int or type(x) is Fraction:  # a bool is not a rational
             return MultiPoly.constant(x, self.variables)
         raise DomainMismatchError("cannot coerce %s into %s" % (type(x).__name__, self.name))
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chevalley import ChevalleyModel, GroupElement, h_letters
-from .kernel import as_ring_element, is_prime, is_zero, one_like
+from .chevalley import ChevalleyModel, GroupElement, h_letters, inverse_letters
+from .kernel import QQ, as_ring_element, is_prime, is_zero, one_like
 from .rootsys import Root
 
 
@@ -39,7 +39,7 @@ class SteinbergWord:
         return SteinbergWord(self.letters + other.letters)
 
     def inverse(self) -> "SteinbergWord":
-        return SteinbergWord(tuple((a, -t) for a, t in reversed(self.letters)))
+        return SteinbergWord(inverse_letters(self.letters))
 
     def __len__(self):
         return len(self.letters)
@@ -81,9 +81,7 @@ def symbol_word_letters(alpha: Root, u, v):
     """The 18 letters of h(u) h(v) h(uv)^{-1} before free reduction."""
     u = as_ring_element(u)
     v = as_ring_element(v)
-    head = h_letters(alpha, u) + h_letters(alpha, v)
-    tail = tuple((a, -t) for a, t in reversed(h_letters(alpha, u * v)))
-    return head + tail
+    return h_letters(alpha, u) + h_letters(alpha, v) + inverse_letters(h_letters(alpha, u * v))
 
 
 def symbol_word(alpha: Root, u, v) -> SteinbergWord:
@@ -121,6 +119,7 @@ class TameSymbol:
 
     (x, y) = (-1)^{ab} x^b y^{-a} mod p with a = v_p(x) and b = v_p(y);
     values land in the cyclic group (Z/p)^*, returned as ints in 1..p-1.
+    Arguments are ints or Fractions; anything else is a DomainMismatchError.
     """
 
     def __init__(self, p: int):
@@ -131,7 +130,7 @@ class TameSymbol:
         self.p = p
 
     def valuation(self, x) -> int:
-        x = Fraction(x)
+        x = QQ.coerce(x)
         if not x:
             raise ValueError("zero has no valuation")
         return self._split(x)[0]
@@ -150,10 +149,10 @@ class TameSymbol:
         return v, num * pow(den, -1, p) % p
 
     def __call__(self, x, y) -> int:
-        if type(x) is not Fraction:
-            x = Fraction(x)
+        if type(x) is not Fraction:  # a float, a string or a bool is refused
+            x = QQ.coerce(x)
         if type(y) is not Fraction:
-            y = Fraction(y)
+            y = QQ.coerce(y)
         if not x or not y:
             raise ValueError("symbols are defined on nonzero arguments")
         a, ux = self._split(x)

@@ -15,6 +15,7 @@ from chevkern.chevalley import (
     ModelInconsistencyError,
     StructureConstants,
     build_model,
+    commutator_letters,
     congruence_dimension,
     graded_piece,
     h_letters,
@@ -77,7 +78,7 @@ def test_inverse_is_negated_parameter():
         assert g.inverse().matrix == m.e(r, Q(-7)).matrix
 
 
-# --- root elements as row and column operations --------------------------
+# --- root elements as column operations ----------------------------------
 
 def _letter_params(ring):
     """Two parameters s, t and a unit u over Q, Q[e]/(e^3) or Q[s..,t..][e]/(e^2)."""
@@ -235,8 +236,8 @@ def _count_root_elements(monkeypatch):
 @pytest.mark.parametrize("ring", ["Q", "trunc3", "poly"])
 @pytest.mark.parametrize("kind", ["A2", "C2"])
 def test_word_and_commutator_build_one_root_element_matrix(monkeypatch, kind, ring):
-    # a word builds only its first letter as a matrix, and a commutator of
-    # two root elements builds none: no inverse and no formula word
+    # a word builds only its first letter as a matrix; a commutator of two
+    # root elements is a four-letter word, and builds no inverse
     m = build_model(kind)
     rng = random.Random(43)
     built = _count_root_elements(monkeypatch)
@@ -247,15 +248,15 @@ def test_word_and_commutator_build_one_root_element_matrix(monkeypatch, kind, ri
         m.word(letters)
         assert built == [letters[0][0]]
     for alpha, beta in ordered_root_pairs(m.system):
-        x, y = m.e(alpha, _word_params(ring, rng)), m.e(beta, _word_params(ring, rng))
+        s, t = _word_params(ring, rng), _word_params(ring, rng)
         del built[:]
-        x.commutator(y)
-        assert built == []
+        m.word(commutator_letters(((alpha, s),), ((beta, t),)))
+        assert built == [alpha]
 
 
 def test_verify_commutator_builds_its_inputs_and_one_formula_letter(monkeypatch):
-    # e(alpha, s) and e(beta, t), then the first letter of the formula word
-    # when the root string is nonempty
+    # e(alpha, s), the first letter of the commutator word, then the first
+    # letter of the formula word when the root string is nonempty
     m = build_model("A2")
     constants = load_structure_constants("A2")
     s, t, _ = _letter_params("trunc3")
@@ -264,9 +265,9 @@ def test_verify_commutator_builds_its_inputs_and_one_formula_letter(monkeypatch)
     for alpha, beta in ordered_root_pairs(m.system):
         del built[:]
         assert verify_commutator(m, alpha, beta, s, t, constants).ok
-        assert len(built) == (3 if m.string(alpha, beta) else 2)
+        assert len(built) == (2 if m.string(alpha, beta) else 1)
         counts[len(built)] = counts.get(len(built), 0) + 1
-    assert counts == {3: 12, 2: 18}
+    assert counts == {2: 12, 1: 18}
 
 
 @pytest.mark.parametrize("kind, products", [("A2", 126), ("C2", 492)])
@@ -325,7 +326,7 @@ def test_root_element_commutator_matches_dense(kind, ring):
     y_inv = {beta: y.matrix.inv() for beta, y in ys.items()}
     for alpha, x in xs.items():
         for beta, y in ys.items():
-            got = x.commutator(y)
+            got = m.word(commutator_letters(((alpha, s),), ((beta, t),)))
             assert got.root is None
             assert got.matrix == x.matrix * y.matrix * x_inv[alpha] * y_inv[beta], (alpha, beta)
 
@@ -480,6 +481,8 @@ def test_inference_certificate_rejects_a_sign_flip(ring):
 
 @pytest.mark.parametrize("kind, count", [("A2", 12), ("A3", 48), ("C2", 24)])
 def test_inference_multiplies_one_word_per_nonempty_string(kind, count):
+    # one four-letter commutator word per ordered pair, then one shorter
+    # formula word per nonempty root string
     for ring in (None, TruncAlgebra(2, PolyDomain())):
         m = build_model(kind)
         words = []
@@ -491,8 +494,10 @@ def test_inference_multiplies_one_word_per_nonempty_string(kind, count):
 
         m.word = counted
         assert infer_structure_constants(m, ring) == load_structure_constants(kind)
-        assert len(words) == count == sum(
-            1 for a, b in ordered_root_pairs(m.system) if m.string(a, b))
+        pairs = ordered_root_pairs(m.system)
+        formulas = [letters for letters in words if len(letters) < 4]
+        assert len(words) - len(formulas) == len(pairs)
+        assert len(formulas) == count == sum(1 for a, b in pairs if m.string(a, b))
 
 
 def test_commutator_full_sweep_symbolic():

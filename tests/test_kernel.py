@@ -761,11 +761,14 @@ def test_ring_protocol_on_ints_and_non_elements():
 @pytest.mark.parametrize("value", [True, False, 0.5, "1/2", object()],
                          ids=["True", "False", "float", "str", "object"])
 def test_ring_of_and_qq_coerce_refuse_what_is_not_a_rational(value):
-    # a rational is an object of type exactly Fraction or int: a bool is not one
-    with pytest.raises(DomainMismatchError):
-        ring_of(value)
-    with pytest.raises(DomainMismatchError):
-        QQ.coerce(value)
+    # a rational is an object of type exactly Fraction or int: a bool is not
+    # one, at any entry point that takes a rational
+    x = MultiPoly.variable("x")
+    for take in (ring_of, QQ.coerce, PolyDomain("x").coerce,
+                 NumberField("w", (-2, 0, 1)).coerce, TruncAlgebra(2, PolyDomain()).coerce,
+                 as_ring_element, lambda c: x + c, lambda c: c + x, lambda c: x - c):
+        with pytest.raises(DomainMismatchError):
+            take(value)
 
 
 class _Counted:

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from chevkern.chevalley import Matrix, build_model, h_letters, w_letters
+from chevkern.kernel import DomainMismatchError
 from chevkern.rings import TruncAlgebra
 from chevkern.rootsys import Root
 from chevkern.steinberg import (
@@ -172,6 +173,16 @@ def test_tame_symbol_rejects_bad_input():
     for x, y in ((Q(0), Q(1)), (Q(3), Q(0)), (0, 7), (Q(1, 5), 0)):
         with pytest.raises(ValueError, match="symbols are defined on nonzero arguments"):
             s(x, y)
+
+
+@pytest.mark.parametrize("value", [True, False, 0.2, "1/5", object()],
+                         ids=["True", "False", "float", "str", "object"])
+def test_tame_symbol_refuses_what_is_not_a_rational(value):
+    # a float or a string is not read as a rational, nor a bool as 1 or 0
+    s = TameSymbol(5)
+    for take in (s.valuation, lambda c: s(c, Q(2)), lambda c: s(Q(2), c)):
+        with pytest.raises(DomainMismatchError):
+            take(value)
 
 
 def _p_unit_times_power(rng, p, v):

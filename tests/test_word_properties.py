@@ -1,4 +1,4 @@
-"""Property tests for the free reduction of Steinberg words (hypothesis)."""
+"""Property tests for the free reduction and inversion of Steinberg words (hypothesis)."""
 
 from fractions import Fraction
 
@@ -8,6 +8,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from chevkern.chevalley import build_model, inverse_letters
 from chevkern.rootsys import Root
 from chevkern.steinberg import SteinbergWord
 
@@ -41,3 +42,15 @@ def test_reduced_words_are_fixed_points(a):
     assert all(x[0] != y[0] for x, y in zip(letters, letters[1:]))
     assert SteinbergWord(letters).letters == letters
     assert (SteinbergWord(a) * SteinbergWord(a).inverse()).letters == ()
+
+
+A2 = build_model("A2")
+
+
+@PROPERTY
+@given(WORDS)
+def test_inverse_letters_spell_the_inverse_word(a):
+    # the reversed, negated letters multiply out to the inverse matrix and
+    # reduce to the inverse of the formal word
+    assert (A2.word(a) * A2.word(inverse_letters(a))).is_identity()
+    assert SteinbergWord(a).inverse() == SteinbergWord(inverse_letters(a))
