@@ -12,6 +12,7 @@ from chevkern.chevalley import build_model, inverse_letters
 from chevkern.rootsys import Root
 from chevkern.steinberg import SteinbergWord
 
+A2 = build_model("A2")
 A = Root((1, -1, 0))
 B = Root((0, 1, -1))
 # few roots and small parameters, so merges, cancellations and zero letters
@@ -42,9 +43,6 @@ def test_reduced_words_are_fixed_points(a):
     assert all(x[0] != y[0] for x, y in zip(letters, letters[1:]))
     assert SteinbergWord(letters).letters == letters
     assert (SteinbergWord(a) * SteinbergWord(a).inverse()).letters == ()
-
-
-A2 = build_model("A2")
 
 
 @PROPERTY
