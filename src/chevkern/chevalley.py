@@ -381,7 +381,7 @@ def infer_structure_constants(model: ChevalleyModel,
     or a formula word unequal to the commutator, raises ModelInconsistencyError.
     """
     if ring is None:
-        s, t = MultiPoly.variables_in("s0", "t0")
+        s, t = MultiPoly.variable("s0"), MultiPoly.variable("t0")
     else:
         if not isinstance(ring.base, PolyDomain):
             raise ValueError("inference needs formal coefficients; use a polynomial base")

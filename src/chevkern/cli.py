@@ -191,7 +191,7 @@ def _root_name(root) -> str:
 def run_relations(report: Report, cfg, rng):
     model, constants = cfg.model, cfg.constants
     kind = model.system.kind
-    s, t = MultiPoly.variables_in("s", "t")
+    s, t = MultiPoly.variable("s"), MultiPoly.variable("t")
     algebra = TruncAlgebra(cfg.trunc)
     for alpha, beta in ordered_root_pairs(model.system):
         chk = verify_commutator(model, alpha, beta, s, t, constants)

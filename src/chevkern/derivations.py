@@ -57,8 +57,8 @@ class BaseRing:
 
     def minimal_polynomial(self) -> MultiPoly:
         """The generator's minimal polynomial m(w); a number ring only."""
-        return MultiPoly((self.generator,),
-                         {(k,): c for k, c in enumerate(self.minpoly) if c != 0})
+        w = MultiPoly.variable(self.generator)
+        return sum(c * w ** k for k, c in enumerate(self.minpoly))
 
     def field(self) -> Optional[NumberField]:
         if self.kind != "numberring":
@@ -84,9 +84,7 @@ class PresentedAlgebra:
         if base.generator:
             names.add(base.generator)
         for f in self.relations:
-            used = {v for e in f.terms
-                    for v, k in zip(f.variables, e) if k != 0}
-            extra = used - names
+            extra = set(f.variables) - names
             if extra:
                 raise ValueError("relation uses unknown names %s" % sorted(extra))
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import ast
 from fractions import Fraction
+from functools import reduce
 from itertools import count
 from math import comb, lcm
-from operator import add
+from operator import or_
 from typing import Iterable, Sequence
 
 
@@ -348,18 +349,29 @@ class NumberFieldElement:
 # ---------------------------------------------------------------------------
 # multivariate polynomials over Q
 
+# Every variable name owns one fixed slot of _SLOT_BITS bits in a packed
+# monomial, an int, from its first use on.  The top bit of each slot is a
+# guard: a product that sets it raises instead of spilling into the next slot.
+_SLOT_BITS = 32
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+MAX_EXPONENT = (1 << (_SLOT_BITS - 1)) - 1
+_SLOTS = {}  # name -> bit offset of its slot, in order of first use
+_GUARDS = 0  # the guard bit of every slot in _SLOTS
+
+
 class MultiPoly:
     """Multivariate polynomial over Q in canonical form.
 
-    Terms are stored as a map from exponent tuples to nonzero rational
-    coefficients.  Binary operations align variable lists by union, so
-    polynomials declared over different variable sets combine freely.
+    ``terms`` maps packed monomials to nonzero rational coefficients.  All
+    polynomials share one variable order, so a product of two monomials is one
+    int addition and no two polynomials need aligning.  ``variables`` and
+    ``repr`` sort the names, so no printed text depends on the order in which
+    names were first used.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, variables: tuple, terms: dict):
-        self.variables = variables
+    def __init__(self, terms: dict):
         # integral coefficients are kept as plain ints (exact and fast);
         # int and Fraction compare and hash consistently
         self.terms = {}
@@ -373,74 +385,49 @@ class MultiPoly:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(value, variables: tuple = ()) -> "MultiPoly":
-        c = Fraction(value)
-        zero = (0,) * len(variables)
-        return MultiPoly(variables, {zero: c} if c != 0 else {})
+    def constant(value) -> "MultiPoly":
+        return MultiPoly({0: QQ.coerce(value)})
 
     @staticmethod
     def variable(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): Fraction(1)})
+        global _GUARDS
+        if name not in _SLOTS:
+            _SLOTS[name] = len(_SLOTS) * _SLOT_BITS
+            _GUARDS |= 1 << (_SLOTS[name] + _SLOT_BITS - 1)
+        return MultiPoly._canonical({1 << _SLOTS[name]: 1})
 
     @staticmethod
-    def variables_in(*names: str):
-        """Generators sharing one variable tuple (keeps alignment cheap)."""
-        vs = tuple(names)
-        gens = []
-        for i in range(len(vs)):
-            e = [0] * len(vs)
-            e[i] = 1
-            gens.append(MultiPoly(vs, {tuple(e): Fraction(1)}))
-        return gens
-
-    @property
-    def ring(self) -> "PolyDomain":
-        """Q[variables], one descriptor per variable tuple."""
-        ring = _POLY_RINGS.get(self.variables)
-        if ring is None:
-            ring = _POLY_RINGS[self.variables] = PolyDomain(*self.variables)
-        return ring
-
-    # -- alignment -----------------------------------------------------------
-
-    @staticmethod
-    def _canonical(variables: tuple, terms: dict) -> "MultiPoly":
+    def _canonical(terms: dict) -> "MultiPoly":
         """A result whose terms are canonical already: no zero, no integral Fraction."""
         p = object.__new__(MultiPoly)
-        p.variables = variables
         p.terms = terms
         return p
 
-    def _aligned(self, other):
-        if type(other) is not MultiPoly:
-            if type(other) is int or type(other) is Fraction:  # a bool is not a rational
-                return self, MultiPoly.constant(other, self.variables)
-            if not isinstance(other, MultiPoly):
-                raise DomainMismatchError(
-                    "cannot combine polynomial with %s" % type(other).__name__)
-        if self.variables == other.variables:
-            return self, other
-        merged = tuple(dict.fromkeys(self.variables + other.variables))
-        return self._remap(merged), other._remap(merged)
+    @property
+    def variables(self) -> tuple:
+        """The names that occur in some term, sorted."""
+        used = reduce(or_, self.terms, 0)
+        return tuple(sorted(v for v, shift in _SLOTS.items() if used >> shift & _SLOT_MASK))
 
-    def _remap(self, merged):
-        if merged == self.variables:
-            return self
-        pos = [merged.index(v) for v in self.variables]
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(merged)
-            for p, k in zip(pos, e):
-                ne[p] = k
-            terms[tuple(ne)] = c
-        return MultiPoly._canonical(merged, terms)
+    def _exponents(self) -> tuple:
+        """The sorted names, and each term as (its exponent of each name, coefficient)."""
+        names = self.variables
+        shifts = [_SLOTS[v] for v in names]
+        return names, [(tuple(e >> s & _SLOT_MASK for s in shifts), c)
+                       for e, c in self.terms.items()]
+
+    @property
+    def ring(self) -> "PolyDomain":
+        return _POLY_RING
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._aligned(other)
-        terms = dict(a.terms)
-        for e, c in b.terms.items():
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
             s = terms.get(e, 0) + c
             if not s:
                 del terms[e]
@@ -448,28 +435,33 @@ class MultiPoly:
                 terms[e] = s.numerator
             else:
                 terms[e] = s
-        return MultiPoly._canonical(a.variables, terms)
+        return MultiPoly._canonical(terms)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._aligned(other)
-        return a + -b
+        other = _operand(other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return MultiPoly._canonical(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._canonical({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        a, b = self._aligned(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(map(add, e1, e2))
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = e1 + e2
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return MultiPoly(a.variables, terms)
+        if reduce(or_, terms, 0) & _GUARDS:
+            raise OverflowError("an exponent of the product exceeds the limit %d"
+                                % MAX_EXPONENT)
+        return MultiPoly(terms)
 
     __rmul__ = __mul__
 
@@ -482,7 +474,7 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(k == 0 for k in e) for e in self.terms)
+        return not any(self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -492,56 +484,45 @@ class MultiPoly:
     def degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(ks) for ks, _ in self._exponents()[1])
 
     def coefficient(self, monomial: dict) -> Fraction:
-        e = tuple(monomial.get(v, 0) for v in self.variables)
-        for v in monomial:
-            if v not in self.variables and monomial[v] != 0:
-                return Fraction(0)
+        e = 0
+        for v, k in monomial.items():
+            if k and not (v in _SLOTS and 0 < k <= MAX_EXPONENT):
+                return Fraction(0)  # no term has this monomial
+            e += k << _SLOTS.get(v, 0)
         return Fraction(self.terms.get(e, 0))
 
     def derivative(self, var: str) -> "MultiPoly":
-        if var not in self.variables:
-            return MultiPoly(self.variables, {})
-        i = self.variables.index(var)
+        if var not in _SLOTS:
+            return MultiPoly({})
+        shift = _SLOTS[var]
         terms = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            terms[tuple(ne)] = c * e[i]
-        return MultiPoly(self.variables, terms)
+            k = e >> shift & _SLOT_MASK
+            if k:
+                terms[e - (1 << shift)] = c * k
+        return MultiPoly(terms)
 
     def __eq__(self, other):
-        if type(other) is not MultiPoly and type(other) is not int and type(other) is not Fraction:
+        if type(other) is int or type(other) is Fraction:
+            other = MultiPoly.constant(other)
+        elif type(other) is not MultiPoly:
             return NotImplemented
-        a, b = self._aligned(other)
-        return a.terms == b.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        # hash ignores unused variables so it matches alignment-based equality
-        used = [i for i in range(len(self.variables))
-                if any(e[i] for e in self.terms)]
-        names = tuple(self.variables[i] for i in used)
-        items = frozenset(
-            (tuple(e[i] for i in used), c) for e, c in self.terms.items())
-        return hash((names, items))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
             return "0"
+        names, rows = self._exponents()
         parts = []
-        # graded lexicographic, highest first
-        for e, c in sorted(self.terms.items(),
-                           key=lambda ec: (-sum(ec[0]), tuple(-k for k in ec[0]))):
-            factors = []
-            for v, k in zip(self.variables, e):
-                if k == 1:
-                    factors.append(v)
-                elif k > 1:
-                    factors.append("%s^%d" % (v, k))
+        # graded lexicographic in the sorted names, highest first
+        for ks, c in sorted(rows, key=lambda r: (sum(r[0]), r[0]), reverse=True):
+            factors = [v if k == 1 else "%s^%d" % (v, k) for v, k in zip(names, ks) if k]
             if not factors:
                 parts.append(str(c))
             elif c == 1:
@@ -556,36 +537,38 @@ class MultiPoly:
         return out
 
 
+def _operand(x):
+    """x as a MultiPoly, or None for another ring's element so that its reflected
+    method runs; anything that is not a ring element is a DomainMismatchError."""
+    if type(x) is MultiPoly:
+        return x
+    if type(x) is int or type(x) is Fraction:  # a bool is not a rational
+        return MultiPoly.constant(x)
+    ring_of(x)
+    return None
+
+
 def poly_eval(p: MultiPoly, point: dict):
     """Evaluate ``p`` at ``point``, a map name -> value.
 
-    All values must lie in one exact domain; rational coefficients are carried
-    into that domain explicitly, so this is the canonical evaluation map
+    All values must lie in one exact domain, the target; rational coefficients
+    are carried into it explicitly, so this is the canonical evaluation map
     Q[X1..Xn] -> target ring.
     """
-    missing = [v for v in p.variables
-               if v not in point and any(e[p.variables.index(v)] for e in p.terms)]
+    names, rows = p._exponents()
+    missing = [v for v in names if v not in point]
     if missing:
         raise UnassignedVariableError("no value assigned to variable %r" % missing[0])
-    values = [point.get(v) for v in p.variables]
-    ring = None
-    for v in values:
-        if v is None:
-            continue
-        if ring is None:
-            ring = ring_of(v)
-        elif ring_of(v) != ring:
-            raise DomainMismatchError("point values live in different domains")
-    if ring is None:
-        ring = QQ
+    rings = {ring_of(v) for v in point.values()}
+    if len(rings) > 1:
+        raise DomainMismatchError("point values live in different domains")
+    ring = rings.pop() if rings else QQ
     acc = None
-    for e, c in p.terms.items():
+    for ks, c in rows:
         term = ring.coerce(c)
-        for v, k in zip(values, e):
-            if k == 0:
-                continue
-            v = Fraction(v) if isinstance(v, int) else v
-            term = term * (v ** k)
+        for v, k in zip(names, ks):
+            if k:
+                term = term * point[v] ** k
         acc = term if acc is None else acc + term
     return ring.zero() if acc is None else acc
 
@@ -681,7 +664,7 @@ def parse_polynomial(text: str, variables=None) -> MultiPoly:
             if variables is not None and node.id not in variables:
                 raise ValueError("unknown variable %r in %r" % (node.id, text))
             return MultiPoly.variable(node.id)
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        if isinstance(node, ast.Constant) and type(node.value) is int:  # not a bool
             return MultiPoly.constant(node.value)
         raise ValueError("disallowed syntax in polynomial %r" % text)
 
@@ -1100,29 +1083,22 @@ _ONE = Fraction(1)
 
 
 class PolyDomain:
-    """Descriptor for Q[x1, x2, ...]; any two compare equal, whatever their variables."""
-
-    def __init__(self, *variables: str):
-        self.variables = tuple(variables)
-        self.name = "Q[%s]" % ", ".join(self.variables)
+    """Descriptor for Q[...], the polynomials in every variable name; any two
+    compare equal."""
 
     def zero(self):
-        return MultiPoly(self.variables, {})
+        return MultiPoly({})
 
     def one(self):
-        return MultiPoly.constant(1, self.variables)
+        return MultiPoly.constant(1)
 
     def coerce(self, x):
-        if isinstance(x, MultiPoly):
-            return x
-        if type(x) is int or type(x) is Fraction:  # a bool is not a rational
-            return MultiPoly.constant(x, self.variables)
-        raise DomainMismatchError("cannot coerce %s into %s" % (type(x).__name__, self.name))
+        return x if type(x) is MultiPoly else MultiPoly.constant(x)
 
     def inv(self, x):
         x = self.coerce(x)
         if x.is_constant() and not x.is_zero():
-            return MultiPoly.constant(1 / x.constant_value(), x.variables)
+            return MultiPoly.constant(1 / x.constant_value())
         raise NotAUnitError("polynomial %s is not a unit" % x)
 
     def is_field(self):
@@ -1135,7 +1111,7 @@ class PolyDomain:
         return hash("PolyDomain")
 
     def __repr__(self):
-        return self.name
+        return "Q[...]"
 
 
-_POLY_RINGS = {}  # variable tuple -> PolyDomain, for MultiPoly.ring
+_POLY_RING = PolyDomain()  # the one descriptor that MultiPoly.ring returns

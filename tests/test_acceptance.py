@@ -137,14 +137,13 @@ def test_criterion_04_footnote_identities():
     # product expansion with formal coefficients u_1 .. u_{d-1}
     for d in range(2, 7):
         ring = TruncAlgebra(d, PolyDomain())
-        names = tuple("u%d" % i for i in range(1, d))
-        us = MultiPoly.variables_in(*names)
+        us = [MultiPoly.variable("u%d" % i) for i in range(1, d)]
         product = expand_unit_product(ring.eps(1), us)
         for k in range(d):
             # coefficient of delta^k is the k-th elementary symmetric poly
-            elementary = MultiPoly.constant(1 if k == 0 else 0, names)
+            elementary = MultiPoly.constant(1 if k == 0 else 0)
             for combo in itertools.combinations(us, k) if k else ():
-                term = MultiPoly.constant(1, names)
+                term = MultiPoly.constant(1)
                 for u in combo:
                     term = term * u
                 elementary = elementary + term
@@ -273,7 +272,7 @@ def test_criterion_08_algebra_decomposition():
 
 def test_criterion_09_derivations():
     start = time.perf_counter()
-    X, Y = MultiPoly.variables_in("X", "Y")
+    X, Y = MultiPoly.variable("X"), MultiPoly.variable("Y")
     ok = True
     cusp = PresentedAlgebra(BaseRing("rational"), ("X", "Y"), (X ** 3 - Y ** 2,))
     ok = ok and der_dim(cusp, {"X": 0, "Y": 0}).dim == 2

@@ -36,8 +36,7 @@ from chevkern.steinberg import symbol_is_central_kernel
 
 
 def _generic_trunc(d):
-    names = ["s%d" % k for k in range(d)] + ["t%d" % k for k in range(d)]
-    return TruncAlgebra(d, base=PolyDomain(*names))
+    return TruncAlgebra(d, base=PolyDomain())
 
 
 # --- models and basic elements ----------------------------------------------
@@ -60,7 +59,7 @@ def test_nilpotents_square_to_zero():
 
 def test_additivity_symbolic_and_random():
     rng = random.Random(17)
-    s, t = MultiPoly.variables_in("s", "t")
+    s, t = MultiPoly.variable("s"), MultiPoly.variable("t")
     for kind in ("A2", "A3", "C2"):
         m = build_model(kind)
         for r in m.system.roots:
@@ -175,7 +174,7 @@ def _word_params(ring, rng):
         return _rat(rng)
     if ring == "trunc3":
         return TruncAlgebra(3).element([_rat(rng) for _ in range(3)])
-    s, t = MultiPoly.variables_in("s", "t")
+    s, t = MultiPoly.variable("s"), MultiPoly.variable("t")
     return _rat(rng) + _rat(rng) * s + _rat(rng) * t + _rat(rng) * s * t
 
 
@@ -501,7 +500,7 @@ def test_inference_multiplies_one_word_per_nonempty_string(kind, count):
 
 
 def test_commutator_full_sweep_symbolic():
-    s, t = MultiPoly.variables_in("s", "t")
+    s, t = MultiPoly.variable("s"), MultiPoly.variable("t")
     for kind in ("A2", "C2"):
         m = build_model(kind)
         constants = load_structure_constants(kind)

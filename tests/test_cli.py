@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -191,6 +192,22 @@ def test_pinned_report_digests(tmp_path, monkeypatch):
         out = tmp_path / "report"
         assert cli.main(list(args) + ["--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, args
+
+
+def test_report_does_not_depend_on_the_order_names_were_first_used(tmp_path):
+    # a fresh interpreter gives the suites' variable names their polynomial
+    # slots in reverse order before the run
+    args = ("all", "--seed", "42", "--format", "json")
+    out = tmp_path / "report"
+    script = ("from chevkern import cli\n"
+              "from chevkern.kernel import MultiPoly\n"
+              "for name in reversed(('X', 'Y', 's', 't', 'w', 'Zloc')):\n"
+              "    MultiPoly.variable(name)\n"
+              "raise SystemExit(cli.main(%r))\n" % (list(args) + ["--output", str(out)]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=REPO, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[args]
 
 
 def test_usage_errors():

@@ -1,5 +1,6 @@
 """MultiPoly arithmetic as properties: canonical results that agree with sympy,
-over overlapping variable tuples, and TruncElement products over Q[...]."""
+over overlapping variable tuples, printing and hashing that do not depend on the
+order of the names, and TruncElement products over Q[...]."""
 
 from fractions import Fraction
 
@@ -19,12 +20,23 @@ COEFFICIENTS = st.one_of(st.integers(-3, 3),
 PROPERTY = settings(max_examples=60, derandomize=True, deadline=None)
 
 
+def build(variables, terms):
+    """The sum of c * prod(v^k) over the (exponent tuple, c) items of terms."""
+    p = MultiPoly.constant(0)
+    for e, c in terms.items():
+        term = MultiPoly.constant(c)
+        for v, k in zip(variables, e):
+            term = term * MultiPoly.variable(v) ** k
+        p = p + term
+    return p
+
+
 @st.composite
 def polys(draw):
     """A MultiPoly over one of the tuples; zero coefficients may be drawn."""
     variables = draw(st.sampled_from(VARIABLE_TUPLES))
     exponents = st.tuples(*[st.integers(0, 1)] * len(variables))
-    return MultiPoly(variables, draw(st.dictionaries(exponents, COEFFICIENTS, max_size=4)))
+    return build(variables, draw(st.dictionaries(exponents, COEFFICIENTS, max_size=4)))
 
 
 def assert_canonical(p):
@@ -36,9 +48,8 @@ def assert_canonical(p):
 def to_sympy(sympy, p):
     if isinstance(p, (int, Fraction)):
         return sympy.Rational(p.numerator, p.denominator)
-    symbols = [sympy.Symbol(v) for v in p.variables]
-    return sympy.Add(*[to_sympy(sympy, c) * sympy.Mul(*[x ** k for x, k in zip(symbols, e)])
-                       for e, c in p.terms.items()])
+    # repr writes c*X^2*Y terms, which sympy reads once ^ is **
+    return sympy.sympify(repr(p).replace("^", "**"))
 
 
 @PROPERTY
@@ -51,6 +62,20 @@ def test_arithmetic_is_canonical_and_matches_sympy(a, b, n):
                       (-a, -x), (a ** n, x ** n)):
         assert_canonical(got)
         assert sympy.expand(to_sympy(sympy, got) - sympy.expand(want)) == 0
+
+
+@PROPERTY
+@given(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), COEFFICIENTS, max_size=5))
+def test_one_polynomial_in_two_name_orders_prints_hashes_and_compares_alike(terms):
+    # two copies of three names that no other test uses, first used in opposite orders
+    first, second = ("a_1", "b_1", "c_1"), ("a_2", "b_2", "c_2")
+    for v in first + second[::-1]:
+        MultiPoly.variable(v)
+    flipped = {e[::-1]: c for e, c in reversed(list(terms.items()))}
+    for names in (first, second):
+        p, q = build(names, terms), build(names[::-1], flipped)
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    assert repr(build(first, terms)) == repr(build(second, terms)).replace("_2", "_1")
 
 
 def schoolbook(x, y):

@@ -74,7 +74,7 @@ def _geometric_inverse(x):
 def test_trunc_inverse_matches_geometric_series():
     rng = random.Random(43)
     K = NumberField("w", (-2, 0, 1))
-    s, t = MultiPoly.variables_in("s", "t")
+    s, t = MultiPoly.variable("s"), MultiPoly.variable("t")
 
     def rat():
         return Q(rng.randint(-5, 5), rng.randint(1, 4))
@@ -86,7 +86,7 @@ def test_trunc_inverse_matches_geometric_series():
     draws = (
         (QQ, rat, nonzero),
         (K, lambda: K.element([rat(), rat()]), lambda: K.element([nonzero(), rat()])),
-        (PolyDomain("s", "t"), lambda: rat() + rat() * s + rat() * t * t, nonzero),
+        (PolyDomain(), lambda: rat() + rat() * s + rat() * t * t, nonzero),
     )
     for base, draw, unit in draws:
         for d in range(1, 7):
@@ -100,7 +100,7 @@ def test_trunc_inverse_matches_geometric_series():
             with pytest.raises(NotAUnitError, match="^constant coefficient 0 is not a unit, "
                                                     "element .* has no inverse$"):
                 bad.inverse()
-    A = TruncAlgebra(3, base=PolyDomain("s", "t"))
+    A = TruncAlgebra(3, base=PolyDomain())
     with pytest.raises(NotAUnitError, match="^constant coefficient s is not a unit"):
         A.element([s, 1]).inverse()
 
@@ -254,15 +254,15 @@ def test_unit_product_symbolic_identity():
     # checked with formal coefficients u_i for every order 2..6
     for d in range(2, 7):
         names = ["u%d" % i for i in range(1, d)]
-        A = TruncAlgebra(d, base=PolyDomain(*names))
+        A = TruncAlgebra(d, base=PolyDomain())
         us = [MultiPoly.variable(n) for n in names]
         lhs = expand_unit_product(A.eps(), us)
         # independent oracle: combinatorial elementary symmetric functions
-        coeffs = [MultiPoly.constant(1, tuple(names))]
+        coeffs = [MultiPoly.constant(1)]
         for k in range(1, d):
-            total = MultiPoly(tuple(names), {})
+            total = MultiPoly.constant(0)
             for combo in itertools.combinations(us, k):
-                prod = MultiPoly.constant(1, tuple(names))
+                prod = MultiPoly.constant(1)
                 for u in combo:
                     prod = prod * u
                 total = total + prod
@@ -297,10 +297,21 @@ def test_factor_one_minus_ux_random():
             assert f.v == -u / f.scalar
 
 
+def test_polynomial_takes_a_truncated_element_on_its_right():
+    # MultiPoly leaves another ring's element to its reflected method
+    A = TruncAlgebra(2, base=PolyDomain())
+    s, e = MultiPoly.variable("s"), A.eps(1)
+    assert s + e == e + s
+    assert s * e == e * s
+    assert s - e == -(e - s)
+    with pytest.raises(DomainMismatchError):
+        s + TruncAlgebra(2).eps(1)
+
+
 def test_generic_elements_need_poly_base():
     with pytest.raises(DomainMismatchError):
         TruncAlgebra(3).generic("x")
-    A = TruncAlgebra(2, base=PolyDomain("x0", "x1"))
+    A = TruncAlgebra(2, base=PolyDomain())
     g = A.generic("x")
     assert g.coeff(0) == MultiPoly.variable("x0")
     assert g.coeff(1) == MultiPoly.variable("x1")
