@@ -20,6 +20,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -28,6 +29,7 @@ from .kernel import (
     Matrix,
     QQ,
     SingularMatrixError,
+    cleared,
     pdivmod,
     pmul,
     ptrim,
@@ -409,8 +411,9 @@ class FinDimAlgebra:
     b_i * b_j = sum_k c[i][j][k] b_k; elements are coordinate tuples.
     Construction verifies commutativity on every basis pair, the unit law on
     every basis vector, and associativity on every basis triple, the last
-    through the symmetry of (b_i b_j) b_k in i, j and k.  Products read only
-    the nonzero structure constants.
+    through the symmetry of (b_i b_j) b_k in i, j and k.  The nonzero constants
+    are kept as ints over one common denominator of at most MAX_PARSE_BITS
+    bits, so products and checks run on ints; a larger one is refused.
     """
 
     def __init__(self, names: Sequence[str], tensor, unit: Sequence):
@@ -427,8 +430,15 @@ class FinDimAlgebra:
         self.unit = tuple(QQ.coerce(u) for u in unit)
         if len(self.unit) != n:
             raise AlgebraAxiomError("unit vector has wrong length")
-        # the nonzero (k, c) entries of each product b_i * b_j
-        self._table = tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
+        den = 1
+        for d in {c.denominator for plane in self.tensor for row in plane for c in row}:
+            if (den := lcm(den, d)).bit_length() > MAX_PARSE_BITS:
+                raise AlgebraAxiomError("the structure constants' common denominator passes "
+                                        "MAX_PARSE_BITS = %d bits" % MAX_PARSE_BITS)
+        self._den = den
+        # the nonzero (k, c) entries of each product b_i * b_j, c an int at scale den
+        self._table = tuple(tuple(tuple((k, c.numerator * (den // c.denominator))
+                                        for k, c in enumerate(row) if c)
                                   for row in plane) for plane in self.tensor)
         self._validate()
 
@@ -458,7 +468,7 @@ class FinDimAlgebra:
             for j in range(i, n):
                 bij = table[i][j]
                 for k in range(n):
-                    out = [Fraction(0)] * n
+                    out = [0] * n  # at scale den^2
                     for l, c in bij:
                         for m, d in table[l][k]:
                             out[m] += c * d
@@ -471,9 +481,10 @@ class FinDimAlgebra:
     # -- arithmetic ---------------------------------------------------------------
 
     def mult(self, x: Sequence, y: Sequence) -> tuple:
-        out = [Fraction(0)] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
+        (dx, xs), (dy, ys) = cleared(x), cleared(y)
+        out = [0] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(ys) if yj]
+        for i, xi in enumerate(xs):
             if not xi:
                 continue
             plane = self._table[i]
@@ -481,7 +492,8 @@ class FinDimAlgebra:
                 f = xi * yj
                 for k, c in plane[j]:
                     out[k] += f * c
-        return tuple(out)
+        den = dx * dy * self._den
+        return tuple(Fraction(v, den) for v in out)
 
     def basis_vector(self, k: int) -> tuple:
         return tuple(Fraction(1) if i == k else Fraction(0) for i in range(self.dim))
@@ -493,11 +505,9 @@ class FinDimAlgebra:
         sum_l c_ijl tr(L_l) with tr(L_l) = sum_k c_lkk.  This equals
         trace(L_i L_j) because the algebra is associative (L_{xy} = L_x L_y).
         """
-        n = self.dim
-        traces = [sum((self.tensor[l][k][k] for k in range(n)), Fraction(0))
-                  for l in range(n)]
-        return Matrix.from_rows([[sum((c * traces[l] for l, c in self._table[i][j]),
-                                      Fraction(0))
+        n, table, den = self.dim, self._table, self._den ** 2
+        traces = [sum(c for k in range(n) for m, c in table[l][k] if m == k) for l in range(n)]
+        return Matrix.from_rows([[Fraction(sum(c * traces[l] for l, c in table[i][j]), den)
                                   for j in range(n)] for i in range(n)])
 
     # -- constructors ----------------------------------------------------------------
@@ -833,11 +843,13 @@ def reassemble(report: DecompositionReport) -> ReassemblyCheck:
         change = Matrix.from_rows([[v[i] for v in new_basis] for i in range(n)]).inv()
     except SingularMatrixError:
         raise ArithmeticError("factor bases are not linearly independent") from None
-    rows = [change.row(i) for i in range(n)]
+    dc, entries = cleared(change.entries)
+    rows = [entries[i * n:(i + 1) * n] for i in range(n)]
     offsets = list(zip(factors, itertools.accumulate([0] + [g.d for g in factors])))
 
     def phi(vec):
-        coords = [sum(a * b for a, b in zip(row, vec) if b) for row in rows]
+        dv, vs = cleared(vec)
+        coords = [Fraction(sum(a * b for a, b in zip(row, vs) if b), dc * dv) for row in rows]
         return tuple(g.element(coords[off:off + g.d]) for g, off in offsets)
 
     images = [phi(algebra.basis_vector(i)) for i in range(n)]

@@ -135,6 +135,12 @@ def psquarefree(a):
     return pdivmod(a, tuple(c / g[-1] for c in g))[0]
 
 
+def cleared(vec) -> tuple:
+    """(d, ints) with vec = ints / d, d the lcm of vec's denominators."""
+    d = lcm(*[c.denominator for c in vec])
+    return d, [c.numerator * (d // c.denominator) for c in vec]
+
+
 def _horner_mod(cs, x, m):
     acc = 0
     for c in reversed(cs):
@@ -156,8 +162,7 @@ def rational_roots(poly):
     if len(poly) <= 1:
         return []
     f = psquarefree(poly)
-    denom = lcm(*[c.denominator for c in f])
-    ints = [int(c * denom) for c in f]
+    _, ints = cleared(f)
     n, a = len(ints) - 1, ints[-1]
     g = [c * a ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
     dg = [i * c for i, c in enumerate(g)][1:]
@@ -302,6 +307,9 @@ class NumberFieldElement:
         self._check(other)
         prod = pmul(ptrim(self.coords), ptrim(other.coords))
         return self.field._reduce(prod)
+
+    # a reflected call has a left operand that is no element here, and _check refuses it
+    __radd__, __rsub__, __rmul__ = __add__, __sub__, __mul__
 
     def inverse(self) -> "NumberFieldElement":
         a = ptrim(self.coords)
@@ -710,7 +718,7 @@ def scalar_into(c, sample):
 
 
 def is_zero(x) -> bool:
-    return x == 0 if type(x) is Fraction else x.is_zero()
+    return x == 0 if type(x) is Fraction or type(x) is int else x.is_zero()
 
 
 def ring_inv(x):

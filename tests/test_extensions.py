@@ -1,12 +1,15 @@
 import dataclasses
+import itertools
 import random
 import re
 import time
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
+from chevkern import cli
 from chevkern.extensions import (
     AlgebraAxiomError,
     CocycleError,
@@ -472,6 +475,117 @@ def test_associativity_failure_seen_only_from_a_larger_first_index():
     )
     assert sorted(_associativity_failures(tensor)) == [(1, 2, 2), (2, 2, 1)]
     assert _assert_validation_matches_brute_force(("1", "u", "v", "w"), tensor, e[0])
+
+
+def _denominator(tensor):
+    return lcm(*(Fraction(c).denominator for plane in tensor for row in plane for c in row))
+
+
+def _rational_quotient(rng, dim):
+    """Q[X]/(f), f monic with coefficients over denominators 1 to 3, f(0) = +-1/2 or +-1/3."""
+    return FinDimAlgebra.from_univariate_quotient(
+        [Fraction(rng.choice((-1, 1)), rng.randint(2, 3))]
+        + [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim - 1)] + [1])
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_associativity_check_matches_brute_force_on_rational_tables(seed):
+    # as above on a rational Q[X]/(f), each perturbation over its own
+    # denominator 5 or 7, so the table's common denominator is past 1
+    rng = random.Random(seed)
+    dim = 3 + seed % 3
+    perturbations = seed // 3 % 3
+    base = _rational_quotient(rng, dim)
+    tensor = [[list(row) for row in plane] for plane in base.tensor]
+    for q in (5, 7)[:perturbations]:
+        i, j, k = rng.randrange(1, dim), rng.randrange(1, dim), rng.randrange(dim)
+        delta = Fraction(rng.choice((-2, -1, 1, 2)), q)
+        tensor[i][j][k] += delta
+        if i != j:
+            tensor[j][i][k] += delta
+    assert _denominator(tensor) > 1
+    raised = _assert_validation_matches_brute_force(base.names, tensor, base.unit)
+    assert raised == (perturbations != 0)
+
+
+def _rational_vector(rng, n):
+    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.8
+                 else Fraction(0) for _ in range(n))
+
+
+def test_mult_matches_the_tensor_sums():
+    # mult against sum over i, j of x_i y_j c[i][j][k], in Fractions
+    rng = random.Random(7)
+    big = 2**1024 * (2**1023 + 1)
+    algebras = [_rational_quotient(rng, dim) for dim in (1, 2, 4, 6, 8)] + [
+        FinDimAlgebra.truncated(4), FinDimAlgebra.two_generator_square_zero(),
+        FinDimAlgebra.load(DATA / "algebra_mixed.txt"),
+        FinDimAlgebra.from_univariate_quotient([Fraction(-1, big), Fraction(3, big), 0, 1])]
+    for alg in algebras:
+        n = alg.dim
+        for _ in range(6):
+            x, y = _rational_vector(rng, n), _rational_vector(rng, n)
+            want = tuple(sum((x[i] * y[j] * alg.tensor[i][j][k]
+                              for i in range(n) for j in range(n)), Fraction(0))
+                         for k in range(n))
+            got = alg.mult(x, y)
+            assert got == want and all(type(c) is Fraction for c in got)
+
+
+def _odd_denominator_table(n=8):
+    """The lines of a commutative table with unit b0 whose product b_i b_j, i, j > 0,
+    has every coordinate 1/d for its own odd 2048-bit d = 2^2047 + 2r + 1."""
+    names = ["b%d" % k for k in range(n)]
+    lines = ["dim %d" % n, "basis " + " ".join(names),
+             "unit " + " ".join(["1"] + ["0"] * (n - 1))]
+    for i, j in itertools.product(range(n), repeat=2):
+        if min(i, j) == 0:
+            tail = " ".join(str(int(k == max(i, j))) for k in range(n))
+        else:
+            tail = " ".join(["1/%d" % (2**2047 + 2 * (min(i, j) * n + max(i, j)) + 1)] * n)
+        lines.append("%s*%s = %s" % (names[i], names[j], tail))
+    return lines
+
+
+def test_common_denominator_past_the_bit_limit_is_refused_fast(tmp_path, capsys):
+    # each part is within the parser's limit; the lcm of two passes it, and the
+    # constructor stops there, before any product is formed
+    text = "\n".join(_odd_denominator_table()) + "\n"
+    message = "common denominator passes MAX_PARSE_BITS = %d bits" % MAX_PARSE_BITS
+    start = time.perf_counter()
+    with pytest.raises(AlgebraAxiomError, match=message):
+        FinDimAlgebra.parse(text)
+    assert time.perf_counter() - start < 0.1
+    rows = [[Fraction(t) for t in line.split("= ")[1].split()] for line in text.splitlines()[3:]]
+    tensor = [rows[i * 8:(i + 1) * 8] for i in range(8)]
+    start = time.perf_counter()
+    with pytest.raises(AlgebraAxiomError, match=message):
+        FinDimAlgebra(["b%d" % k for k in range(8)], tensor, [1] + [0] * 7)
+    assert time.perf_counter() - start < 0.1
+    table = tmp_path / "algebra.txt"
+    table.write_text(text)
+    start = time.perf_counter()
+    assert cli.main(["extensions", "--input", str(table),
+                     "--output", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_common_denominator_of_exactly_the_bit_limit_is_accepted():
+    # X^3 = X/a + 1/b with a = 2^1024 and b odd: the common denominator is a*b
+    for b, accepted in ((2**1023 + 1, True), (2**1024 + 1, False)):
+        coeffs = [Fraction(-1, b), Fraction(-1, 2**1024), 0, 1]
+        assert (2**1024 * b).bit_length() == MAX_PARSE_BITS + (not accepted)
+        if not accepted:
+            with pytest.raises(AlgebraAxiomError, match="MAX_PARSE_BITS"):
+                FinDimAlgebra.from_univariate_quotient(coeffs)
+            continue
+        alg = FinDimAlgebra.from_univariate_quotient(coeffs)
+        assert _denominator(alg.tensor) == 2**1024 * b
+        x = alg.basis_vector(1)
+        assert alg.mult(alg.mult(x, x), x) == (Fraction(1, b), Fraction(1, 2**1024), 0)
+        assert alg.trace_form().entry(0, 0) == 3
 
 
 def test_univariate_quotient_table():

@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 from fractions import Fraction as Q
@@ -311,6 +312,17 @@ def test_number_field_cross_field_mix_fails():
         K.generator() + L.generator()
     with pytest.raises(DomainMismatchError):
         K.generator() + Q(1)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul],
+                         ids=["add", "sub", "mul"])
+def test_number_field_and_polynomial_refuse_each_other_in_both_orders(op):
+    # the number field element refuses the polynomial from either side
+    w = NumberField("w", (-2, 0, 1)).generator()
+    s = MultiPoly.variable("s")
+    for a, b in ((w, s), (s, w)):
+        with pytest.raises(DomainMismatchError, match="number field element with MultiPoly"):
+            op(a, b)
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, "1/2"])
@@ -767,6 +779,13 @@ def test_ring_protocol_by_hand(x, key, zero, one, three_halves, inverse, non_uni
     assert ring_inv(x) == inverse and x * ring_inv(x) == one
     with pytest.raises(NotAUnitError):
         ring_inv(non_unit)
+
+
+@pytest.mark.parametrize("x, zero", [(0, True), (5, False), (Q(0), True), (Q(-2, 3), False)],
+                         ids=["0", "5", "Fraction(0)", "-2/3"])
+def test_is_zero_on_rationals(x, zero):
+    # an int is a rational (ring_of(5) is QQ), so is_zero reads it as one
+    assert is_zero(x) is zero
 
 
 def test_ring_protocol_on_ints_and_non_elements():
