@@ -718,7 +718,12 @@ def scalar_into(c, sample):
 
 
 def is_zero(x) -> bool:
-    return x == 0 if type(x) is Fraction or type(x) is int else x.is_zero()
+    if type(x) is Fraction or type(x) is int:
+        return x == 0
+    try:
+        return x.is_zero()
+    except AttributeError:
+        raise DomainMismatchError("unsupported element type %s" % type(x).__name__) from None
 
 
 def ring_inv(x):

@@ -3,13 +3,16 @@
 An element is a coefficient vector (x0, ..., x_{d-1}) in a base domain K;
 multiplication is truncated convolution.  Over a field base an element is a
 unit exactly when its constant coefficient x0 is nonzero, and the inverse
-comes coefficient by coefficient from x * x^-1 = 1.
+comes coefficient by coefficient from x * x^-1 = 1.  Over K = Q the vector
+is int numerators over one positive denominator in lowest terms, the layout of
+FLINT's ``fmpq_poly``; ``coeffs`` and ``coeff(k)`` still give ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .kernel import (
@@ -18,6 +21,7 @@ from .kernel import (
     MultiPoly,
     NotAUnitError,
     PolyDomain,
+    cleared,
     is_zero,
     parse_polynomial,
     ring_pow,
@@ -32,13 +36,15 @@ class TruncAlgebra:
             raise ValueError("truncation order must be at least 1")
         self.d = d
         self.base = base
+        self.rational = base == QQ  # elements hold int numerators over one denominator
 
     def element(self, coeffs: Sequence) -> "TruncElement":
         cs = [self.base.coerce(c) for c in coeffs]
         if len(cs) > self.d:
             raise ValueError("expected at most %d coefficients, got %d" % (self.d, len(cs)))
-        cs += [self.base.zero()] * (self.d - len(cs))
-        return TruncElement(self, tuple(cs))
+        den, cs = cleared(cs) if self.rational else (1, cs)
+        cs += [0 if self.rational else self.base.zero()] * (self.d - len(cs))
+        return TruncElement(self, tuple(cs), den)
 
     def coerce(self, c) -> "TruncElement":
         return self.element([c])
@@ -92,17 +98,23 @@ class TruncAlgebra:
 
 
 class TruncElement:
-    """Element of K[e]/(e^d); immutable coefficient tuple."""
+    """Element of K[e]/(e^d) with coefficients nums[k] / den: over Q ints with
+    gcd(den, *nums) == 1 and den > 0 (1 for zero), else base elements over 1."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "nums", "den")
 
-    def __init__(self, algebra: TruncAlgebra, coeffs: tuple):
+    def __init__(self, algebra: TruncAlgebra, nums: tuple, den: int = 1):
         self.algebra = algebra
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
 
     @property
     def ring(self) -> TruncAlgebra:
         return self.algebra
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(map(self.coeff, range(self.algebra.d)))
 
     def _check(self, other):
         if not isinstance(other, TruncElement):
@@ -115,43 +127,68 @@ class TruncElement:
     def _lift(self, other):
         if type(other) is TruncElement:
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or type(other) is Fraction:  # not a bool
             return self.algebra.coerce(other)
         if isinstance(other, MultiPoly) and isinstance(self.algebra.base, PolyDomain):
             return self.algebra.element([other])
         return other
 
+    def _reduced(self, nums, den: int) -> "TruncElement":
+        """The element nums / den over Q, brought to lowest terms."""
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(n // g for n in nums), den // g
+        return TruncElement(self.algebra, nums, den)
+
+    def _linear(self, other, sign: int) -> "TruncElement":
+        """self + sign * other over Q, on ints over the lcm of the denominators."""
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        return self._reduced(tuple(a * sa + b * sb for a, b in zip(self.nums, other.nums)), den)
+
     def __add__(self, other):
         other = self._lift(other)
         self._check(other)
+        if self.algebra.rational:
+            return self._linear(other, 1)
         return TruncElement(self.algebra,
-                            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+                            tuple(a + b for a, b in zip(self.nums, other.nums)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._lift(other)
         self._check(other)
+        if self.algebra.rational:
+            return self._linear(other, -1)
         return TruncElement(self.algebra,
-                            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+                            tuple(a - b for a, b in zip(self.nums, other.nums)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return TruncElement(self.algebra, tuple(-a for a in self.coeffs))
+        return TruncElement(self.algebra, tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, other):
         other = self._lift(other)
         self._check(other)
         d = self.algebra.d
+        ys = other.nums
+        if self.algebra.rational:
+            acc = [0] * d
+            for i, a in enumerate(self.nums):
+                if a:
+                    for j in range(d - i):
+                        acc[i + j] += a * ys[j]
+            return self._reduced(tuple(acc), self.den * other.den)
         # each slot starts at its first product; slots with none are zero
         out = [None] * d
-        for i, a in enumerate(self.coeffs):
+        for i, a in enumerate(self.nums):
             if is_zero(a):
                 continue
             for j in range(d - i):
-                b = other.coeffs[j]
+                b = ys[j]
                 if is_zero(b):
                     continue
                 k = i + j
@@ -171,19 +208,21 @@ class TruncElement:
         return self * other.inverse()
 
     def coeff(self, k: int):
-        return self.coeffs[k]
+        c = self.nums[k]
+        return Fraction(c, self.den) if self.algebra.rational else c
 
     def tail(self) -> "TruncElement":
         """The nilpotent part x - x0."""
-        zero = self.algebra.base.zero()
-        return TruncElement(self.algebra, (zero,) + self.coeffs[1:])
+        if self.algebra.rational:
+            return self._reduced((0,) + self.nums[1:], self.den)
+        return TruncElement(self.algebra, (self.algebra.base.zero(),) + self.nums[1:])
 
     def is_zero(self) -> bool:
-        return all(is_zero(c) for c in self.coeffs)
+        return not any(self.nums) if self.algebra.rational else all(map(is_zero, self.nums))
 
     def is_unit(self) -> bool:
         try:
-            self.algebra.base.inv(self.coeffs[0])
+            self.algebra.base.inv(self.coeff(0))
             return True
         except NotAUnitError:
             return False
@@ -191,17 +230,25 @@ class TruncElement:
     def inverse(self) -> "TruncElement":
         """Inverse by the recurrence b_0 = 1/x_0,
         b_k = -(1/x_0) (x_1 b_{k-1} + ... + x_k b_0), about d^2/2 base
-        products; needs an invertible constant coefficient."""
-        x = self.coeffs
+        products; needs an invertible constant coefficient.  Over Q it runs on the
+        ints e_k = b_k n_0^d / den: e_0 = n_0^(d-1), e_k = -(n_1 e_{k-1} + ... + n_k e_0) / n_0."""
+        x, d, n0 = self.nums, self.algebra.d, self.nums[0]
+        if self.algebra.rational and n0:
+            e = [n0 ** (d - 1)]
+            for k in range(1, d):
+                e.append(-sum(x[i] * e[k - i] for i in range(1, k + 1)) // n0)
+            q = e[0] * n0
+            s = self.den if q > 0 else -self.den
+            return self._reduced(tuple(s * c for c in e), abs(q))
         try:
-            inv0 = self.algebra.base.inv(x[0])
+            inv0 = self.algebra.base.inv(n0)
         except NotAUnitError:
             raise NotAUnitError(
                 "constant coefficient %s is not a unit, element %s has no inverse"
-                % (x[0], self)) from None
+                % (self.coeff(0), self)) from None
         neg_inv0 = -inv0
         b = [inv0]
-        for k in range(1, self.algebra.d):
+        for k in range(1, d):
             acc = x[1] * b[k - 1]
             for i in range(2, k + 1):
                 acc = acc + x[i] * b[k - i]
@@ -212,10 +259,10 @@ class TruncElement:
         other = self._lift(other)
         if not isinstance(other, TruncElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.coeffs == other.coeffs
+        return self.algebra == other.algebra and self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash((self.algebra, self.coeffs))
+        return hash((self.algebra, self.nums, self.den))
 
     def __str__(self):
         parts = []
@@ -257,11 +304,11 @@ def unit_group_witness(x: TruncElement, target: TruncElement) -> UnitWitness:
         raise ValueError("unit-group witnesses need truncation order at least 2")
     if not x.is_unit():
         raise NotAUnitError("base point %s is not a unit" % x)
-    x1 = x.coeffs[1]
+    x1 = x.coeff(1)
     if is_zero(x1):
         raise ValueError("tail of %s has zero linear coefficient" % x)
     one = algebra.base.one()
-    if target.coeffs[0] != one:
+    if target.coeff(0) != one:
         raise ValueError("target %s is not congruent to 1" % target)
     delta = x.tail()
     powers = [algebra.one()]
@@ -269,10 +316,10 @@ def unit_group_witness(x: TruncElement, target: TruncElement) -> UnitWitness:
         powers.append(powers[-1] * delta)
     symmetric = []
     for j in range(1, d):
-        acc = target.coeffs[j]
+        acc = target.coeff(j)
         for k in range(1, j):
-            acc = acc - symmetric[k - 1] * powers[k].coeffs[j]
-        lead = powers[j].coeffs[j]
+            acc = acc - symmetric[k - 1] * powers[k].coeff(j)
+        lead = powers[j].coeff(j)
         symmetric.append(acc * algebra.base.inv(lead))
     # direct re-expansion check
     total = algebra.one()
@@ -308,7 +355,7 @@ def factor_one_minus_ux(u, x: TruncElement) -> OneMinusFactorization:
     """
     algebra = x.algebra
     u = algebra.base.coerce(u)
-    x0 = x.coeffs[0]
+    x0 = x.coeff(0)
     scalar = algebra.base.one() - u * x0
     try:
         inv_scalar = algebra.base.inv(scalar)

@@ -788,6 +788,13 @@ def test_is_zero_on_rationals(x, zero):
     assert is_zero(x) is zero
 
 
+@pytest.mark.parametrize("value", [True, 0.5, "x"], ids=["True", "float", "str"])
+def test_is_zero_refuses_what_is_not_an_element(value):
+    # the same domain error that ring_of and QQ.coerce raise for these values
+    with pytest.raises(DomainMismatchError):
+        is_zero(value)
+
+
 def test_ring_protocol_on_ints_and_non_elements():
     assert as_ring_element(5) == Q(5) and type(as_ring_element(5)) is Q
     # an int is a rational: its inverse stays exact

@@ -308,6 +308,40 @@ def test_polynomial_takes_a_truncated_element_on_its_right():
         s + TruncAlgebra(2).eps(1)
 
 
+def test_a_bool_is_not_a_truncated_scalar():
+    # a bool is no rational, so it compares unequal as it does with a MultiPoly
+    x = TruncAlgebra(3).one()
+    assert (x == True) is False and (x != True) is True  # noqa: E712
+    assert (MultiPoly.constant(1) == True) is False  # noqa: E712
+    assert x == 1 and x == Q(1)
+    for combine in (lambda c: x * c, lambda c: x + c, lambda c: c * x, lambda c: c + x):
+        with pytest.raises(DomainMismatchError):
+            combine(True)
+
+
+def test_a_product_over_q_makes_no_fraction_operations(monkeypatch):
+    # the product runs on int numerators over one denominator
+    A = TruncAlgebra(4)
+    x = A.element([Q(-2, 3), Q(1, 2), 5, Q(7, 4)])
+    y = A.element([3, Q(1, 7), Q(-2, 5), 0])
+    counts = {}
+    for name in ("__add__", "__mul__", "__new__"):
+        original = getattr(Q, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(Q, name, staticmethod(counted) if name == "__new__" else counted)
+    product = x * y
+    made = dict(counts)
+    Q(1, 2) * Q(1, 3)  # the counters do see a Fraction product
+    monkeypatch.undo()
+    assert made == {}
+    assert counts["__mul__"] == 1 and counts["__new__"] >= 1
+    assert product.coeffs == (Q(-2), Q(59, 42), Q(3221, 210), Q(807, 140))
+
+
 def test_generic_elements_need_poly_base():
     with pytest.raises(DomainMismatchError):
         TruncAlgebra(3).generic("x")
