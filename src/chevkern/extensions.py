@@ -20,7 +20,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -116,53 +116,88 @@ class HeisenbergLikeGroup:
 
     def __init__(self, lie: TracelessMatrices, form: Optional[Callable] = None):
         self.lie = lie
+        self._int_pairing = form is None  # products pair ints even if form is replaced later
         if form is None:
             # killing_form through its identity 2n * tr(xy), on members of
             # the algebra (element() checks membership)
-            n = lie.n
-
             def form(x, y):
-                xe, ye = x.entries, y.entries
-                return 2 * n * sum(xe[i * n + k] * ye[k * n + i]
-                                   for i in range(n) for k in range(n))
+                (dx, xs), (dy, ys) = cleared(x.entries), cleared(y.entries)
+                return Fraction(_trace_pairing(lie.n, xs, ys), dx * dy)
         self.form = form
 
     def element(self, a: Matrix, b: Matrix, c) -> "HeisenbergElement":
         if not (self.lie.contains(a) and self.lie.contains(b)):
             raise ValueError("components must lie in the algebra")
-        return HeisenbergElement(self, a, b, QQ.coerce(c))
+        den, nums = cleared([QQ.coerce(v) for v in a.entries + b.entries])
+        return HeisenbergElement(self, den, tuple(nums), QQ.coerce(c), a, b)
+
+
+@functools.cache
+def _transposed(n: int, yo: int) -> tuple:
+    return tuple(yo + k * n + i for i in range(n) for k in range(n))
+
+
+def _trace_pairing(n: int, xs, ys, yo: int = 0) -> int:
+    """2n * sum x_ik y_ki on row-major ints, y read from offset yo of ys."""
+    return 2 * n * sum([x * ys[k] for x, k in zip(xs, _transposed(n, yo))])
 
 
 class HeisenbergElement:
-    __slots__ = ("group", "a", "b", "c")
+    """(a, b, c) with a and b one tuple nums of 2n^2 ints over one positive den,
+    in lowest terms (zero over 1); the matrices are built on first read."""
 
-    def __init__(self, group, a, b, c):
-        self.group = group
-        self.a = a
-        self.b = b
-        self.c = c
+    __slots__ = ("group", "den", "nums", "c", "_a", "_b")
+
+    def __init__(self, group, den, nums, c, a=None, b=None):
+        self.group, self.den, self.nums, self.c, self._a, self._b = group, den, nums, c, a, b
+
+    def _part(self, k: int) -> Matrix:
+        """a (k = 0) or b (k = 1), built from nums on first read and kept."""
+        m = self._b if k else self._a
+        if m is None:
+            n, den = self.group.lie.n, self.den
+            vs = self.nums[k * n * n:(k + 1) * n * n]
+            m = Matrix(n, n, tuple(map(Fraction, vs) if den == 1
+                                   else map(Fraction, vs, itertools.repeat(den))))
+            setattr(self, "_b" if k else "_a", m)
+        return m
+
+    a = property(lambda self: self._part(0))
+    b = property(lambda self: self._part(1))
 
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
-        f = self.group.form
-        c = self.c + other.c + f(self.a, other.b) - f(other.a, self.b)
-        return HeisenbergElement(self.group, self.a + other.a, self.b + other.b, c)
+        group, x, y, d1, d2 = self.group, self.nums, other.nums, self.den, other.den
+        if group._int_pairing:
+            nn = len(x) // 2
+            twist = Fraction(_trace_pairing(group.lie.n, x, y, nn)
+                             - _trace_pairing(group.lie.n, y, x, nn), d1 * d2)
+        else:
+            f = group.form
+            twist = f(self.a, other.b) - f(other.a, self.b)
+        den = lcm(d1, d2)
+        s, t = den // d1, den // d2
+        nums = tuple([p * s + q * t for p, q in zip(x, y)])
+        g = gcd(den, *nums)
+        if g != 1:
+            den, nums = den // g, tuple([v // g for v in nums])
+        return HeisenbergElement(group, den, nums, self.c + other.c + twist)
 
     def inverse(self) -> "HeisenbergElement":
-        return HeisenbergElement(self.group, -self.a, -self.b, -self.c)
+        return HeisenbergElement(self.group, self.den, tuple([-v for v in self.nums]), -self.c)
 
     def commutator(self, other: "HeisenbergElement") -> "HeisenbergElement":
         return self * other * self.inverse() * other.inverse()
 
     def is_identity(self) -> bool:
-        return self.a.is_zero_matrix() and self.b.is_zero_matrix() and self.c == 0
+        return not any(self.nums) and self.c == 0
 
     def __eq__(self, other):
         if not isinstance(other, HeisenbergElement):
             return NotImplemented
-        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+        return (self.den, self.nums, self.c) == (other.den, other.nums, other.c)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c))
+        return hash((self.den, self.nums, self.c))
 
     def __repr__(self):
         return "HeisenbergElement(a=%r, b=%r, c=%s)" % (self.a, self.b, self.c)

@@ -137,8 +137,9 @@ def psquarefree(a):
 
 def cleared(vec) -> tuple:
     """(d, ints) with vec = ints / d, d the lcm of vec's denominators."""
-    d = lcm(*[c.denominator for c in vec])
-    return d, [c.numerator * (d // c.denominator) for c in vec]
+    pairs = [c.as_integer_ratio() for c in vec]
+    d = lcm(*[q for _, q in pairs])
+    return d, [p * (d // q) for p, q in pairs]
 
 
 def _horner_mod(cs, x, m):

@@ -50,10 +50,10 @@ class TruncAlgebra:
         return self.element([c])
 
     def zero(self) -> "TruncElement":
-        return self.element([])
+        return TruncElement(self, (0,) * self.d) if self.rational else self.element([])
 
     def one(self) -> "TruncElement":
-        return self.coerce(1)
+        return TruncElement(self, (1,) + (0,) * (self.d - 1)) if self.rational else self.coerce(1)
 
     def inv(self, x: "TruncElement") -> "TruncElement":
         return x.inverse()
@@ -221,6 +221,8 @@ class TruncElement:
         return not any(self.nums) if self.algebra.rational else all(map(is_zero, self.nums))
 
     def is_unit(self) -> bool:
+        if self.algebra.rational:
+            return self.nums[0] != 0
         try:
             self.algebra.base.inv(self.coeff(0))
             return True

@@ -233,6 +233,102 @@ def test_splitness_split_for_zero_pairing():
     assert verdict.section_checked == 9  # all basis pairs of sl2 x sl2
 
 
+def test_splitness_inconclusive_for_a_pairing_that_is_not_bilinear():
+    # f(x, y) = x01 * x10 vanishes on every basis pair of sl2 but is quadratic
+    # in x, so only the section sweep sees that the group law is not split
+    grp = HeisenbergLikeGroup(sl2(), form=lambda x, y: x.entry(0, 1) * x.entry(1, 0))
+    verdict = splitness_verdict(grp)
+    assert verdict.status == "INCONCLUSIVE"
+    assert verdict.witness == (E(2, 0, 1), E(2, 1, 0))
+    assert verdict.section_checked == 0
+
+
+def _reference_mul(f, g1, g2):
+    """(a1 + a2, b1 + b2, c1 + c2 + f(a1, b2) - f(a2, b1)) on Matrix values."""
+    (a1, b1, c1), (a2, b2, c2) = g1, g2
+    return a1 + a2, b1 + b2, c1 + c2 + f(a1, b2) - f(a2, b1)
+
+
+def _reference_inv(g):
+    a, b, c = g
+    return -a, -b, -c
+
+
+def _fraction_parts(g):
+    assert all(type(v) is Fraction for v in g.a.entries + g.b.entries)
+    return g.a, g.b, g.c
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("pairing", ["default", "user"])
+def test_heisenberg_layout_matches_reference_law(n, pairing):
+    lie = TracelessMatrices(n)
+    if pairing == "default":
+        grp, f = HeisenbergLikeGroup(lie), lambda x, y: killing_form(lie, x, y)
+    else:
+        def f(x, y):  # bilinear, not symmetric, with a non-integral coefficient
+            return x.entry(0, 1) * y.entry(1, 1) - Fraction(1, 3) * x.entry(1, 0) * y.entry(0, 0)
+
+        grp = HeisenbergLikeGroup(lie, form=f)
+    rng = random.Random(31 + n)
+
+    def rand():
+        a, b = ([Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(lie.dim)]
+                for _ in range(2))
+        return grp.element(lie.from_coords(a), lie.from_coords(b),
+                           Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+
+    zero = Matrix.zero(n, n)
+    identity = grp.element(zero, zero, 0)
+    dens = set()
+    for _ in range(12):
+        g1, g2, g3 = rand(), rand(), rand()
+        r1, r2 = _fraction_parts(g1), _fraction_parts(g2)
+        prod = g1 * g2
+        dens.add(prod.den)
+        assert _fraction_parts(prod) == _reference_mul(f, r1, r2)
+        assert _fraction_parts(g1.inverse()) == _reference_inv(r1)
+        expected = _reference_mul(f, _reference_mul(f, _reference_mul(f, r1, r2),
+                                                    _reference_inv(r1)), _reference_inv(r2))
+        assert _fraction_parts(g1.commutator(g2)) == expected
+        # equal elements reached by different routes
+        for left, right in (((g1 * g2) * g3, g1 * (g2 * g3)),
+                            (g1 * g1.inverse(), identity),
+                            (grp.element(prod.a, prod.b, prod.c), prod)):
+            assert left == right and hash(left) == hash(right)
+    assert max(dens) > 1  # the lcm and lowest-terms paths ran
+
+
+def test_bench_tracer_keeps_heisenberg_results():
+    # the tracer wraps group.form after __init__; products of a default-pairing
+    # group do not go through form, and the results stay the same either way
+    trace = pytest.importorskip("chevbench.trace")
+    lie = TracelessMatrices(3)
+    rng = random.Random(37)
+    draws = [(lie.random_element(rng), lie.random_element(rng), rng.randint(-4, 4))
+             for _ in range(8)]
+
+    def run():
+        grp = HeisenbergLikeGroup(lie)
+        gs = [grp.element(a, b, c) for a, b, c in draws]
+        products = [g * h for g, h in zip(gs, gs[1:])]
+        forms = [grp.form(g.a, h.b) for g, h in zip(gs, products)]
+        control = HeisenbergLikeGroup(lie, form=lambda x, y: Fraction(0))
+        return products, forms, splitness_verdict(grp), splitness_verdict(control)
+
+    plain = run()
+    tracer = trace.Tracer()
+    tracer.install()
+    try:
+        traced = run()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    assert tracer.calls["extensions.form"] > 0 and tracer.calls["extensions.heisenberg_mul"] > 0
+    assert tracer.restored()
+    assert not hasattr(HeisenbergLikeGroup(lie).form, "__wrapped__")
+
+
 # ---------------------------------------------------------------------------
 # cocycle extensions
 
