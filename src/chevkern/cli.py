@@ -344,11 +344,11 @@ def run_extensions(report: Report, cfg, rng):
     report.add("commutator independent of lifts", inv.ok,
                center=inv.commutator_center, checked=inv.checked)
 
+    # integer samples of the two factors of Q^2; an int is a rational
     pair_ops = GroupOps(mul=lambda x, y: (x[0] + y[0], x[1] + y[1]),
-                        inv=lambda x: (-x[0], -x[1]),
-                        identity=(Fraction(0), Fraction(0)))
-    s1 = [(Fraction(a), Fraction(0)) for a in range(-2, 3)]
-    s2 = [(Fraction(0), Fraction(b)) for b in range(-2, 3)]
+                        inv=lambda x: (-x[0], -x[1]), identity=(0, 0))
+    s1 = [(a, 0) for a in range(-2, 3)]
+    s2 = [(0, b) for b in range(-2, 3)]
     ext_obs = CocycleExtension(pair_ops, lambda x, y: (x[0] * y[1],))
     rep = product_splitting(ext_obs, ext_obs.element, ext_obs.element, s1, s2)
     report.add("obstruction blocks merged section",

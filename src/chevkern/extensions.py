@@ -26,6 +26,7 @@ from typing import Callable, Optional, Sequence
 
 from .kernel import (
     MAX_PARSE_BITS,
+    DomainMismatchError,
     Matrix,
     QQ,
     SingularMatrixError,
@@ -126,9 +127,14 @@ class HeisenbergLikeGroup:
         self.form = form
 
     def element(self, a: Matrix, b: Matrix, c) -> "HeisenbergElement":
-        if not (self.lie.contains(a) and self.lie.contains(b)):
+        n = self.lie.n
+        if not (a.nrows == a.ncols == b.nrows == b.ncols == n):
             raise ValueError("components must lie in the algebra")
         den, nums = cleared([QQ.coerce(v) for v in a.entries + b.entries])
+        # both traces from the numerators at the diagonal positions of a and b
+        nn = n * n
+        if sum(nums[0:nn:n + 1]) or sum(nums[nn::n + 1]):
+            raise ValueError("components must lie in the algebra")
         return HeisenbergElement(self, den, tuple(nums), QQ.coerce(c), a, b)
 
 
@@ -140,6 +146,23 @@ def _transposed(n: int, yo: int) -> tuple:
 def _trace_pairing(n: int, xs, ys, yo: int = 0) -> int:
     """2n * sum x_ik y_ki on row-major ints, y read from offset yo of ys."""
     return 2 * n * sum([x * ys[k] for x, k in zip(xs, _transposed(n, yo))])
+
+
+def _lowest(den: int, nums: tuple) -> tuple:
+    """(den, nums) divided by gcd(den, *nums)."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return den, nums
+    return den // g, tuple([v // g for v in nums])
+
+
+def _add_vectors(d1: int, x: tuple, d2: int, y: tuple) -> tuple:
+    """x/d1 + y/d2, for int vectors x and y, as (den, nums) in lowest terms."""
+    if d1 == d2 == 1:
+        return 1, tuple([p + q for p, q in zip(x, y)])
+    den = lcm(d1, d2)
+    s, t = den // d1, den // d2
+    return _lowest(den, tuple([p * s + q * t for p, q in zip(x, y)]))
 
 
 class HeisenbergElement:
@@ -174,12 +197,7 @@ class HeisenbergElement:
         else:
             f = group.form
             twist = f(self.a, other.b) - f(other.a, self.b)
-        den = lcm(d1, d2)
-        s, t = den // d1, den // d2
-        nums = tuple([p * s + q * t for p, q in zip(x, y)])
-        g = gcd(den, *nums)
-        if g != 1:
-            den, nums = den // g, tuple([v // g for v in nums])
+        den, nums = _add_vectors(d1, x, d2, y)
         return HeisenbergElement(group, den, nums, self.c + other.c + twist)
 
     def inverse(self) -> "HeisenbergElement":
@@ -268,6 +286,7 @@ class CocycleExtension:
     Elements are pairs (g, z) with z a central coordinate tuple, multiplied as
     (g1, z1)(g2, z2) = (g1 g2, z1 + z2 + c(g1, g2)).  The cocycle must be
     normalized: c(e, e) = 0, and every value has the length m of c(e, e).
+    Each value is an int or a Fraction, held as m ints over one denominator.
     """
 
     def __init__(self, ops: GroupOps, cocycle: Callable):
@@ -276,16 +295,26 @@ class CocycleExtension:
         e = ops.identity
         at_e = cocycle(e, e)
         self.center_dim = len(at_e) if isinstance(at_e, tuple) else 1
-        if any(self._c(e, e)):
+        if any(self._c(e, e)[1]):
             raise CocycleError("cocycle is not normalized at the identity")
 
     def _central(self, val) -> tuple:
-        """A central value as a tuple of m Fractions; a bare scalar is (val,)."""
+        """A central value as (den, nums): m ints over one positive den in lowest
+        terms, zero over 1.  A bare scalar is (val,)."""
         if not isinstance(val, tuple):
             val = (val,)
         if len(val) != self.center_dim:
             raise CocycleError("central value %r has wrong length" % (val,))
-        return tuple(v if type(v) is Fraction else Fraction(v) for v in val)
+        ints = True
+        for v in val:
+            if type(v) is not int:
+                if type(v) is not Fraction:
+                    raise DomainMismatchError("cannot coerce %s into Q" % type(v).__name__)
+                ints = False
+        if ints:
+            return 1, tuple(val)
+        den, nums = cleared(val)
+        return den, tuple(nums)
 
     def _c(self, g, h) -> tuple:
         return self._central(self.cocycle(g, h))
@@ -294,44 +323,49 @@ class CocycleExtension:
         """Check c(g,h) + c(gh,k) = c(g,hk) + c(h,k) on the given triples."""
         mul = self.ops.mul
         for g, h, k in samples:
-            lhs = _tadd(self._c(g, h), self._c(mul(g, h), k))
-            rhs = _tadd(self._c(g, mul(h, k)), self._c(h, k))
+            lhs = _add_vectors(*self._c(g, h), *self._c(mul(g, h), k))
+            rhs = _add_vectors(*self._c(g, mul(h, k)), *self._c(h, k))
             if lhs != rhs:
                 raise CocycleError("cocycle identity fails at %r" % ((g, h, k),))
         return True
 
     def element(self, g, z=None) -> "ExtensionElement":
         """The pair (g, z); z defaults to 0 and is checked like a cocycle value."""
-        return ExtensionElement(self, g, self._central((0,) * self.center_dim if z is None else z))
-
-
-def _tadd(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _tneg(a: tuple) -> tuple:
-    return tuple(-x for x in a)
+        return ExtensionElement(self, g, *self._central((0,) * self.center_dim if z is None else z))
 
 
 class ExtensionElement:
-    __slots__ = ("ext", "g", "z")
+    """(g, z) with z the m ints nums over one positive den, in lowest terms
+    (zero over 1); z reads them back as Fractions."""
 
-    def __init__(self, ext, g, z):
-        self.ext = ext
-        self.g = g
-        self.z = z
+    __slots__ = ("ext", "g", "den", "nums")
+
+    def __init__(self, ext, g, den, nums):
+        self.ext, self.g, self.den, self.nums = ext, g, den, nums
+
+    @property
+    def z(self) -> tuple:
+        den = self.den
+        return tuple(map(Fraction, self.nums) if den == 1
+                     else map(Fraction, self.nums, itertools.repeat(den)))
 
     def __mul__(self, other: "ExtensionElement") -> "ExtensionElement":
         ext = self.ext
         g = ext.ops.mul(self.g, other.g)
-        z = _tadd(_tadd(self.z, other.z), ext._c(self.g, other.g))
-        return ExtensionElement(ext, g, z)
+        dc, c = ext._c(self.g, other.g)
+        d1, d2, x, y = self.den, other.den, self.nums, other.nums
+        if d1 == d2 == dc == 1:
+            return ExtensionElement(ext, g, 1, tuple([p + q + r for p, q, r in zip(x, y, c)]))
+        den = lcm(d1, d2, dc)
+        s, t, u = den // d1, den // d2, den // dc
+        nums = tuple([p * s + q * t + r * u for p, q, r in zip(x, y, c)])
+        return ExtensionElement(ext, g, *_lowest(den, nums))
 
     def inverse(self) -> "ExtensionElement":
         ext = self.ext
         ginv = ext.ops.inv(self.g)
-        z = _tadd(_tneg(self.z), _tneg(ext._c(self.g, ginv)))
-        return ExtensionElement(ext, ginv, z)
+        den, nums = _add_vectors(self.den, self.nums, *ext._c(self.g, ginv))
+        return ExtensionElement(ext, ginv, den, tuple([-v for v in nums]))
 
     def commutator(self, other: "ExtensionElement") -> "ExtensionElement":
         return self * other * self.inverse() * other.inverse()
@@ -339,7 +373,7 @@ class ExtensionElement:
     def __eq__(self, other):
         if not isinstance(other, ExtensionElement):
             return NotImplemented
-        return self.g == other.g and self.z == other.z
+        return (self.den, self.nums) == (other.den, other.nums) and self.g == other.g
 
     def __repr__(self):
         return "ExtensionElement(%r, %r)" % (self.g, self.z)
@@ -404,7 +438,7 @@ def product_splitting(ext: CocycleExtension, phi1: Callable, phi2: Callable,
             comm = psi(a, b)
             if comm.g != ext.ops.identity:
                 raise ValueError("factors do not commute downstairs at %r" % ((a, b),))
-            if witness is None and any(v != 0 for v in comm.z):
+            if witness is None and any(comm.nums):
                 witness = (a, b, comm.z)
 
     if witness is None:
@@ -423,7 +457,11 @@ def product_splitting(ext: CocycleExtension, phi1: Callable, phi2: Callable,
         return ProductSplittingReport(split=True, section_checked=section_checked)
 
     # non-split: the obstruction must be additive in its second argument
-    additive = all(psi(a, mul(b1, b2)).z == _tadd(psi(a, b1).z, psi(a, b2).z)
+    def additive_at(a, b1, b2):
+        whole, p1, p2 = psi(a, mul(b1, b2)), psi(a, b1), psi(a, b2)
+        return (whole.den, whole.nums) == _add_vectors(p1.den, p1.nums, p2.den, p2.nums)
+
+    additive = all(additive_at(a, b1, b2)
                    for a in samples1 for b1, b2 in itertools.product(samples2, repeat=2))
     return ProductSplittingReport(split=False, witness=witness, psi_additive_ok=additive)
 

@@ -194,6 +194,23 @@ def test_pinned_report_digests(tmp_path, monkeypatch):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, args
 
 
+# sha256 of `extensions --system S --seed 7 --format json`, recorded while the
+# central values of CocycleExtension were still Fraction tuples
+EXTENSIONS_SEED_7 = {
+    "A2": "14b3326f6e0d4bfbf09d235471d002372f38193d4565001445d8b9703bdc6e6d",
+    "A3": "6757fac43758a80f3ebbadc7cb868b3c73384cf942c7f612d6be4d858dadb3a3",
+    "C2": "6a54ce5cb6c80e9dd16dd333c29f861cbee1539e5b7253d1d1f70ce1d25e2714",
+}
+
+
+@pytest.mark.parametrize("system", sorted(EXTENSIONS_SEED_7))
+def test_extensions_report_at_seed_7_is_pinned(system, tmp_path):
+    out = tmp_path / "report"
+    args = ["extensions", "--system", system, "--seed", "7", "--format", "json"]
+    assert cli.main(args + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXTENSIONS_SEED_7[system]
+
+
 def test_report_does_not_depend_on_the_order_names_were_first_used(tmp_path):
     # a fresh interpreter gives the suites' variable names their polynomial
     # slots in reverse order before the run

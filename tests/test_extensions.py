@@ -4,7 +4,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -141,6 +141,29 @@ def test_heisenberg_element_refuses_floats_and_strings(bad):
     with pytest.raises(DomainMismatchError):
         grp.element(zero, zero, bad)
     assert grp.element(zero, zero, Fraction(1, 4)).c == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_heisenberg_element_checks_shape_and_traces(n):
+    grp = HeisenbergLikeGroup(TracelessMatrices(n))
+    zero = Matrix.zero(n, n)
+    # traceless over a common denominator of a and b together
+    a = Matrix.from_rows([[Fraction(1, 2) if i == j == 0 else Fraction(-1, 2) if i == j == 1
+                           else Fraction(i - j, 3) for j in range(n)] for i in range(n)])
+    b = Matrix.from_rows([[Fraction(1, 3) if i == j == 0 else Fraction(-1, 3) if i == j == n - 1
+                           else int(j == i + 1) for j in range(n)] for i in range(n)])
+    assert grp.element(a, b, 0).a == a and grp.element(b, a, 0).b == a
+    not_traceless = a + E(n, 0, 0) * Fraction(1, 6)
+    wrong_shape = Matrix.zero(n + 1, n + 1)
+    for args in ((not_traceless, b), (a, not_traceless), (wrong_shape, zero),
+                 (zero, Matrix.zero(n, n + 1))):
+        with pytest.raises(ValueError, match="components must lie in the algebra"):
+            grp.element(*args, 0)
+    # a non-rational entry is a domain error even where the trace would vanish
+    floats = Matrix(n, n, tuple(0.5 if k == 0 else -0.5 if k == n + 1 else 0
+                                for k in range(n * n)))
+    with pytest.raises(DomainMismatchError):
+        grp.element(floats, zero, 0)
 
 
 @pytest.mark.parametrize("bad", _NOT_RATIONAL)
@@ -482,6 +505,140 @@ def test_product_splitting_rejects_bad_section():
     # the identity lift is not a homomorphism over factor 1 here
     with pytest.raises(ValueError):
         product_splitting(ext, ext.element, ext.element, s1, s2)
+
+
+def _mixed_rat(rng):
+    # an int or a Fraction with denominator 1..6
+    if rng.random() < 0.3:
+        return rng.randint(-6, 6)
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+
+# bilinear cocycles, so 2-cocycles of the additive groups, with m = 1 and m = 2
+_LAYOUT_CASES = {
+    ("pair", 1): lambda x, y: (Fraction(1, 2) * x[0] * y[1] - Fraction(1, 3) * x[1] * y[0],),
+    ("pair", 2): lambda x, y: (x[0] * y[0], Fraction(5, 6) * x[1] * y[1] - x[0] * y[1]),
+    ("matrix", 1): lambda g, h: (Fraction(1, 4) * g.entry(0, 1) * h.entry(1, 0),),
+    ("matrix", 2): lambda g, h: (g.entry(0, 0) * h.entry(1, 1) - g.entry(0, 1) * h.entry(1, 0),
+                                 Fraction(1, 6) * g.entry(1, 0) * h.entry(0, 0)),
+}
+
+
+def _reference_central(cocycle, g, h):
+    val = cocycle(g, h)
+    return tuple(Fraction(v) for v in (val if isinstance(val, tuple) else (val,)))
+
+
+def _canonical(x):
+    """The (g, z) of x, after checking that its central part is in lowest terms."""
+    assert type(x.den) is int and x.den > 0
+    assert all(type(v) is int for v in x.nums)
+    assert gcd(x.den, *x.nums) == 1
+    assert any(x.nums) or x.den == 1
+    assert all(type(v) is Fraction for v in x.z)
+    return x.g, x.z
+
+
+@pytest.mark.parametrize("group, m", sorted(_LAYOUT_CASES))
+def test_cocycle_layout_matches_reference_law(group, m):
+    # the int central layout against the group law on Fraction tuples
+    cocycle = _LAYOUT_CASES[group, m]
+    ops = _pair_group() if group == "pair" else _matrix_group()
+    ext = CocycleExtension(ops, cocycle)
+    rng = random.Random(41 + m)
+
+    def base():
+        if group == "pair":
+            return _mixed_rat(rng), _mixed_rat(rng)
+        return Matrix.from_rows([[_mixed_rat(rng) for _ in range(2)] for _ in range(2)])
+
+    def ref_mul(x, y):
+        (g1, z1), (g2, z2) = x, y
+        c = _reference_central(cocycle, g1, g2)
+        return ops.mul(g1, g2), tuple(a + b + w for a, b, w in zip(z1, z2, c))
+
+    def ref_inv(x):
+        g, z = x
+        ginv = ops.inv(g)
+        return ginv, tuple(-a - w for a, w in zip(z, _reference_central(cocycle, g, ginv)))
+
+    identity = ext.element(ops.identity)
+    assert _canonical(identity) == (ops.identity, (0,) * m)
+    dens = set()
+    for _ in range(15):
+        gs = [base() for _ in range(3)]
+        zs = [tuple(_mixed_rat(rng) for _ in range(m)) for _ in range(3)]
+        x1, x2, x3 = (ext.element(g, z) for g, z in zip(gs, zs))
+        r1, r2 = [(g, tuple(map(Fraction, z))) for g, z in zip(gs, zs)][:2]
+        assert _canonical(x1) == r1
+        prod = x1 * x2
+        dens.add(prod.den)
+        assert _canonical(prod) == ref_mul(r1, r2)
+        assert _canonical(x1.inverse()) == ref_inv(r1)
+        expected = ref_mul(ref_mul(ref_mul(r1, r2), ref_inv(r1)), ref_inv(r2))
+        assert _canonical(x1.commutator(x2)) == expected
+        # == agrees with the reference on equal and on different elements
+        for left, right in (((x1 * x2) * x3, x1 * (x2 * x3)),
+                            (x1 * x1.inverse(), identity),
+                            (x1.inverse() * x1, identity),
+                            (ext.element(*ref_mul(r1, r2)), prod)):
+            assert left == right
+        assert (x1 * x2 == x2 * x1) == (ref_mul(r1, r2) == ref_mul(r2, r1))
+        assert ext.element(gs[0], tuple(v + 1 for v in zs[0])) != x1
+        assert (ext.element(gs[1], zs[0]) == x1) == (gs[1] == gs[0])
+    assert max(dens) > 1  # the lcm and lowest-terms paths ran
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True])
+def test_float_or_bool_central_value_is_refused(bad):
+    # a float or bool is not read through as_integer_ratio, as QQ.coerce refuses it
+    ops = _pair_group()
+    message = "cannot coerce %s into Q" % type(bad).__name__
+    with pytest.raises(DomainMismatchError, match=message):
+        CocycleExtension(ops, lambda x, y: (bad,))
+    ext = CocycleExtension(ops, lambda x, y: (bad if x[0] else 0,))
+    one, other = ext.element((Fraction(1), Fraction(0))), ext.element((Fraction(0), Fraction(1)))
+    with pytest.raises(DomainMismatchError, match=message):
+        one * other
+    with pytest.raises(DomainMismatchError, match=message):
+        one.inverse()
+    for z in (bad, (bad,)):
+        with pytest.raises(DomainMismatchError, match=message):
+            ext.element(ops.identity, z)
+    with pytest.raises(CocycleError, match="wrong length"):
+        ext.element(ops.identity, (0, bad))
+
+
+def test_product_splitting_on_int_samples_makes_no_fraction_operations(monkeypatch):
+    # the extensions suite's two splitting examples, on integer samples of Z^2
+    ops = GroupOps(mul=lambda x, y: (x[0] + y[0], x[1] + y[1]),
+                   inv=lambda x: (-x[0], -x[1]), identity=(0, 0))
+    s1 = [(a, 0) for a in range(-2, 3)]
+    s2 = [(0, b) for b in range(-2, 3)]
+    cocycles = (lambda x, y: (x[0] * y[1],), lambda x, y: (x[0] * y[1] + x[1] * y[0],))
+    counts = {}
+    for name in ("__add__", "__mul__", "__hash__"):
+        original = getattr(Fraction, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    reports = []
+    for cocycle in cocycles:
+        ext = CocycleExtension(ops, cocycle)
+        reports.append(product_splitting(ext, ext.element, ext.element, s1, s2))
+    made = dict(counts)
+    # the counters do see the same run over Fraction samples
+    ext = CocycleExtension(_pair_group(), cocycles[0])
+    control = product_splitting(ext, ext.element, ext.element, *_factor_samples())
+    monkeypatch.undo()
+    assert made == {}
+    assert all(counts[name] > 0 for name in ("__add__", "__mul__", "__hash__"))
+    assert reports[0] == control and not control.split and control.psi_additive_ok
+    assert [type(v) for v in reports[0].witness[2]] == [Fraction]
+    assert reports[1].split and reports[1].section_checked == len(s1) ** 2 * len(s2) ** 2
 
 
 # ---------------------------------------------------------------------------
