@@ -448,7 +448,7 @@ def graded_piece(c: GroupElement, s: int) -> Matrix:
             if x.coeff(0) != expect0:
                 raise LevelError("element is not congruent to the identity mod e")
             for k in range(1, s):
-                if x.coeff(k) != zero:
+                if not is_zero(x.nums[k]):
                     raise LevelError(
                         "element is nontrivial at level %d < %d" % (k, s))
     return Matrix(n, n, tuple(c.matrix.entry(i, j).coeff(s)

@@ -31,6 +31,7 @@ from .kernel import (
     QQ,
     SingularMatrixError,
     cleared,
+    cleared_row_reduce,
     pdivmod,
     pmul,
     ptrim,
@@ -746,7 +747,7 @@ class DecompositionReport:
 
 def _pivots(vectors) -> list:
     """Indices of the vectors that are independent of the ones before them."""
-    return row_reduce([list(row) for row in zip(*vectors)], len(vectors))
+    return cleared_row_reduce(zip(*vectors), len(vectors))[0]
 
 
 def _combination(coeffs, vectors) -> tuple:

@@ -13,7 +13,7 @@ import ast
 from fractions import Fraction
 from functools import reduce
 from itertools import count
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -1005,8 +1005,14 @@ def row_reduce(rows: list, ncols: int) -> list:
     in place.  Pivots are sought in the first ``ncols`` columns only; later
     columns ride along as an augmented block.  Row i of the result has a 1
     in column ``pivots[i]``, where every other row has a 0, and a column is a
-    pivot exactly when it is independent of the columns before it.
+    pivot exactly when it is independent of the columns before it.  Over Q
+    (every entry exactly an ``int`` or a ``Fraction``) the elimination runs on
+    ints, ``cleared_row_reduce``, and the rows come back as ``Fraction``s.
     """
+    if all(type(x) is Fraction or type(x) is int for row in rows for x in row):
+        pivots, held = cleared_row_reduce(rows, ncols)
+        rows[:] = [[Fraction(a, d) for a in nums] for d, nums in held]
+        return pivots
     nrows = len(rows)
     pivots = []
     for col in range(ncols):
@@ -1025,6 +1031,40 @@ def row_reduce(rows: list, ncols: int) -> list:
                 rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
         pivots.append(col)
     return pivots
+
+
+def cleared_row_reduce(rows, ncols: int):
+    """``row_reduce`` over Q on ints, leaving ``rows`` as it is: (pivots, held).
+
+    ``held`` is the reduced form, row i held as (d, nums): ints over d > 0 in
+    lowest terms, the ``cleared`` layout.  A pivot row y is held over its
+    pivot's numerator p, so it has a 1 at its pivot, and eliminating with it
+    takes x over d to p * x - x[col] * y over p * d, then one gcd pass.
+    """
+    held = [cleared(row) for row in rows]
+    nrows = len(held)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if held[i][1][col]), None)
+        if pivot is None:
+            continue
+        held[r], held[pivot] = held[pivot], held[r]
+        y = held[r][1]
+        g = gcd(*y) if y[col] > 0 else -gcd(*y)
+        p, y = y[col] // g, [b // g for b in y]
+        held[r] = (p, y)
+        for i in range(nrows):
+            d, x = held[i]
+            f = x[col]
+            if i != r and f:
+                x = [p * a - f * b for a, b in zip(x, y)]
+                g = gcd(p * d, *x)
+                held[i] = (p * d // g, [a // g for a in x])
+        pivots.append(col)
+    return pivots, held
 
 
 def rref(m: Matrix):

@@ -29,7 +29,7 @@ from chevkern.chevalley import (
     w_letters,
 )
 from chevkern.cli import _rat
-from chevkern.kernel import MultiPoly, PolyDomain
+from chevkern.kernel import MultiPoly, PolyDomain, is_zero
 from chevkern.rings import TruncAlgebra, TruncElement
 from chevkern.rootsys import Root, enumerate_roots, root_string
 from chevkern.steinberg import symbol_is_central_kernel
@@ -654,6 +654,28 @@ def test_graded_piece_level_errors():
     h = m.word(h_letters(Root((1, -1, 0)), algebra.coerce(2)))
     with pytest.raises(LevelError):
         graded_piece(h, 1)   # not congruent to the identity
+
+
+def test_graded_piece_level_error_is_the_same_over_q_and_polynomials():
+    m = build_model("A2")
+    r = Root((1, -1, 0))
+    X = MultiPoly.variable("X")
+    messages = []
+    for algebra, c in ((TruncAlgebra(4), Q(1, 3)), (_generic_trunc(4), X)):
+        one = algebra.one()
+        for level in (1, 2):
+            g = m.e(r, algebra.element([0] * level + [c]))
+            with pytest.raises(LevelError) as err:
+                graded_piece(g, 3)
+            messages.append(str(err.value))
+        piece = graded_piece(m.e(r, algebra.element([0, 0, 0, c])), 3)
+        assert [x for x in piece.entries if not is_zero(x)] == [c]
+        with pytest.raises(LevelError) as err:
+            graded_piece(m.e(r, one), 1)
+        messages.append(str(err.value))
+    expected = ["element is nontrivial at level 1 < 3", "element is nontrivial at level 2 < 3",
+                "element is not congruent to the identity mod e"]
+    assert messages == expected * 2
 
 
 def test_graded_piece_additivity():

@@ -211,6 +211,33 @@ def test_extensions_report_at_seed_7_is_pinned(system, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EXTENSIONS_SEED_7[system]
 
 
+# sha256 of reports that run exact elimination over Q, recorded while
+# kernel.row_reduce still reduced Fraction rows with Fraction arithmetic
+ELIMINATION_REPORTS = {
+    ("filtration", "--system", "A2", "--seed", "7", "--trunc", "6", "--format", "json"):
+        "02a992fb6e28dd4cc9105b0f5bf44c023f6b850582e3b391930cec8f3f1fd776",
+    ("filtration", "--system", "A3", "--seed", "7", "--trunc", "6", "--format", "json"):
+        "3f54f7c638bad54221be48465a115b3bed10e512135ca1c27d0b7513466bab5f",
+    ("filtration", "--system", "C2", "--seed", "7", "--trunc", "6", "--format", "json"):
+        "3d0cf660faaea46a74c81bb039867d64ce9a5697451f6b7fd8605ba7d5ea60d5",
+    ("extensions", "--seed", "7", "--trunc", "9", "--format", "json"):
+        "4508b6c425cae9359c2a9278f6a39741734e4b85baab34d0f1ee98cfd9455f19",
+    ("derivations", "--input", "data/number_ring.txt", "--format", "json"):
+        "fe404680e9933187faa268842dd83d8274255cedc158b79a106b165381dcd548",
+    ("derivations", "--input", "data/cusp_curve.txt", "--format", "json"):
+        "acf02d634d2b22dfb0ddcc76683533f788c18663ea66d2d325f8402ce092c322",
+}
+
+
+@pytest.mark.parametrize("args", sorted(ELIMINATION_REPORTS), ids=" ".join)
+def test_elimination_report_is_pinned(args, tmp_path, monkeypatch):
+    # the derivations reports name their --input path, so run from the repository root
+    monkeypatch.chdir(REPO)
+    out = tmp_path / "report"
+    assert cli.main(list(args) + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ELIMINATION_REPORTS[args]
+
+
 def test_report_does_not_depend_on_the_order_names_were_first_used(tmp_path):
     # a fresh interpreter gives the suites' variable names their polynomial
     # slots in reverse order before the run

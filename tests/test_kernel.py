@@ -2,6 +2,7 @@ import operator
 import random
 import time
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
@@ -21,6 +22,7 @@ from chevkern.kernel import (
     SingularMatrixError,
     UnassignedVariableError,
     as_ring_element,
+    cleared_row_reduce,
     domain_key,
     is_zero,
     one_like,
@@ -589,6 +591,131 @@ def test_row_reduce_pivots_only_in_the_leading_block(seed):
     assert _to_sympy([r[:k] for r in work]) == _to_sympy([r[:k] for r in rows]).rref()[0]
     rank = _to_sympy(rows).rank()
     assert _to_sympy(work).rank() == rank == _to_sympy(work + rows).rank()
+
+
+def _reference_row_reduce(rows, ncols):
+    """Gauss-Jordan on Fraction arithmetic, the generic loop of row_reduce
+    written for Q: the reference for the int path."""
+    nrows = len(rows)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = Q(1) / rows[r][col]
+        prow = rows[r] = [x * pv for x in rows[r]]
+        for i in range(nrows):
+            f = rows[i][col]
+            if i != r and f != 0:
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        pivots.append(col)
+    return pivots
+
+
+def _mixed_rows(rng):
+    """(rows, ncols): a leading block with zero, negative-pivot and dependent
+    rows, beside an augmented block that the dependent rows still reach."""
+    def entry():
+        v = rng.randint(-5, 5)
+        return v if rng.randrange(3) == 0 else Q(v, rng.randint(1, 4))
+
+    nrows, ncols, extra = rng.randint(2, 7), rng.randint(1, 6), rng.randint(0, 3)
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randrange(4)
+        if kind == 0 or not rows:
+            lead = [entry() for _ in range(ncols)]
+            lead[0] = -abs(lead[0]) - 1   # a negative pivot
+        elif kind == 1:
+            lead = [0] * ncols
+        else:   # a combination of two earlier rows
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = Q(rng.randint(-3, 3), rng.randint(1, 3))
+            lead = [x + c * y for x, y in zip(a[:ncols], b[:ncols])]
+        rows.append(lead + [entry() for _ in range(extra)])
+    if rng.randrange(2):
+        rows.append([0] * (ncols + extra))
+    return rows, ncols
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rational_row_reduce_matches_the_fraction_loop(seed):
+    rng = random.Random(900 + seed)
+    rows, ncols = _mixed_rows(rng)
+    expected = [list(r) for r in rows]
+    expected_pivots = _reference_row_reduce(expected, ncols)
+    work = [list(r) for r in rows]
+    assert row_reduce(work, ncols) == expected_pivots
+    assert work == expected
+    assert all(type(x) is Q for row in work for x in row)
+    # the int elimination itself: rows over a positive denominator in lowest
+    # terms, and its input left as it was
+    before = [list(r) for r in rows]
+    pivots, held = cleared_row_reduce(rows, ncols)
+    assert rows == before and pivots == expected_pivots
+    for (d, nums), row in zip(held, expected):
+        assert d > 0 and gcd(d, *nums) == 1
+        assert [Q(a, d) for a in nums] == row
+
+
+def test_rational_row_reduce_cases_reach_every_branch():
+    # besides the negative first pivot every case has, the seeds above include
+    # rows past the rank that keep nonzero augmented entries, and zero rows
+    past_rank = zero_row = 0
+    for seed in range(40):
+        rows, ncols = _mixed_rows(random.Random(900 + seed))
+        work = [list(r) for r in rows]
+        rank = len(row_reduce(work, ncols))
+        past_rank += any(any(row[ncols:]) for row in work[rank:])
+        zero_row += any(not any(row) for row in rows)
+    assert past_rank and zero_row
+
+
+def test_row_reduce_refuses_a_bool_entry():
+    for rows in ([[True, Q(1)], [Q(2), Q(3)]], [[Q(1), Q(0)], [Q(0), False]]):
+        with pytest.raises(DomainMismatchError):
+            row_reduce([list(r) for r in rows], 2)
+
+
+def test_number_field_rows_reduce_through_the_generic_loop(monkeypatch):
+    from chevkern import kernel
+
+    def refuse(rows, ncols):
+        raise AssertionError("number-field rows reached the int elimination")
+
+    monkeypatch.setattr(kernel, "cleared_row_reduce", refuse)
+    K = NumberField("w", (-2, 0, 1))
+    w, one, zero = K.generator(), K.one(), K.zero()
+    # by hand: row 1 - row 0 / w is (0, 0, w / 2), so column 1 has no pivot
+    m = Matrix.from_rows([[w, K.from_rational(2), one], [one, w, w]])
+    reduced, rank, basis = rref(m)
+    assert rank == 2
+    assert reduced.rows() == [[one, w, zero], [zero, zero, one]]
+    assert basis == [(-w, one, zero)]
+    # det [[w, 1], [1, w]] = w^2 - 1 = 1, so the inverse is the adjugate
+    square = Matrix.from_rows([[w, one], [one, w]])
+    assert square.inv().rows() == [[w, -one], [-one, w]]
+
+
+def test_rational_row_reduce_makes_no_fraction_arithmetic(monkeypatch):
+    rng = random.Random(77)
+    rows = [[Q(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(7)] for _ in range(6)]
+    counts = {"__mul__": 0, "__sub__": 0, "__truediv__": 0}
+    for name in counts:
+        def counted(self, other, name=name, method=getattr(Q, name)):
+            counts[name] += 1
+            return method(self, other)
+        monkeypatch.setattr(Q, name, counted)
+    pivots = row_reduce([list(r) for r in rows], 6)
+    assert pivots == [0, 1, 2, 3, 4, 5]
+    assert counts == {"__mul__": 0, "__sub__": 0, "__truediv__": 0}
+    # control: the Fraction loop on the same rows is seen by the counters
+    assert _reference_row_reduce([list(r) for r in rows], 6) == pivots
+    assert all(counts.values())
 
 
 def _random_invertible(rng, n, entry):
