@@ -19,6 +19,7 @@ import random
 import sys
 import zlib
 from fractions import Fraction
+from operator import add, neg
 from pathlib import Path
 
 from . import __version__
@@ -332,13 +333,11 @@ def run_extensions(report: Report, cfg, rng):
     report.add("zero pairing splits", verdict0.status == "SPLIT",
                status=verdict0.status, section_checked=verdict0.section_checked)
 
-    zero = Matrix.zero(2, 2)
-    ops = GroupOps(mul=lambda g, h: g + h, inv=lambda g: -g, identity=zero)
-    cocycle = lambda g, h: (g.entry(0, 0) * h.entry(1, 1)
-                            - g.entry(0, 1) * h.entry(1, 0),)
-    ext = CocycleExtension(ops, cocycle)
-    g = Matrix.from_rows([[1, 2], [0, -1]])
-    h = Matrix.from_rows([[0, 1], [3, 1]])
+    # the additive group of 2x2 integer matrices [[a, b], [c, d]] as tuples (a, b, c, d)
+    ops = GroupOps(mul=lambda g, h: tuple(map(add, g, h)), inv=lambda g: tuple(map(neg, g)),
+                   identity=(0, 0, 0, 0))
+    ext = CocycleExtension(ops, lambda g, h: (g[0] * h[3] - g[1] * h[2],))
+    g, h = (1, 2, 0, -1), (0, 1, 3, 1)
     shifts = [(Fraction(0),), (Fraction(2),), (Fraction(-1, 2),)]
     inv = commutator_lift_invariance(ext, g, h, shifts)
     report.add("commutator independent of lifts", inv.ok,

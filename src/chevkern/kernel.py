@@ -361,11 +361,21 @@ class NumberFieldElement:
 # Every variable name owns one fixed slot of _SLOT_BITS bits in a packed
 # monomial, an int, from its first use on.  The top bit of each slot is a
 # guard: a product that sets it raises instead of spilling into the next slot.
+# Slot 0 is reserved for EPS_NAME, the e of rings.TruncAlgebra over polynomials,
+# a name no parsed polynomial can have: e^k is the monomial k, and m & EPS_MASK
+# is the degree in e of a monomial m.
 _SLOT_BITS = 32
-_SLOT_MASK = (1 << _SLOT_BITS) - 1
+EPS_MASK = _SLOT_MASK = (1 << _SLOT_BITS) - 1
 MAX_EXPONENT = (1 << (_SLOT_BITS - 1)) - 1
-_SLOTS = {}  # name -> bit offset of its slot, in order of first use
-_GUARDS = 0  # the guard bit of every slot in _SLOTS
+EPS_NAME = "e'"
+_SLOTS = {EPS_NAME: 0}  # name -> bit offset of its slot, in order of first use
+_GUARDS = 1 << (_SLOT_BITS - 1)  # the guard bit of every slot in _SLOTS
+
+
+def exponent_guard(monomials) -> None:
+    """Raise OverflowError when some packed monomial has an exponent past MAX_EXPONENT."""
+    if reduce(or_, monomials, 0) & _GUARDS:
+        raise OverflowError("an exponent of the product exceeds the limit %d" % MAX_EXPONENT)
 
 
 class MultiPoly:
@@ -467,9 +477,7 @@ class MultiPoly:
             for e2, c2 in other.terms.items():
                 e = e1 + e2
                 terms[e] = terms.get(e, 0) + c1 * c2
-        if reduce(or_, terms, 0) & _GUARDS:
-            raise OverflowError("an exponent of the product exceeds the limit %d"
-                                % MAX_EXPONENT)
+        exponent_guard(terms)
         return MultiPoly(terms)
 
     __rmul__ = __mul__

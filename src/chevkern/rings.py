@@ -6,6 +6,8 @@ unit exactly when its constant coefficient x0 is nonzero, and the inverse
 comes coefficient by coefficient from x * x^-1 = 1.  Over K = Q the vector
 is int numerators over one positive denominator in lowest terms, the layout of
 FLINT's ``fmpq_poly``; ``coeffs`` and ``coeff(k)`` still give ``Fraction``s.
+Over a polynomial base the element is one ``MultiPoly`` sum_k x_k e^k, with e
+in the reserved slot ``kernel.EPS_NAME`` of the packed monomials.
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .kernel import (
+    EPS_MASK,
+    EPS_NAME,
     QQ,
     DomainMismatchError,
     MultiPoly,
     NotAUnitError,
     PolyDomain,
     cleared,
+    exponent_guard,
     is_zero,
     parse_polynomial,
     ring_pow,
@@ -37,11 +42,17 @@ class TruncAlgebra:
         self.d = d
         self.base = base
         self.rational = base == QQ  # elements hold int numerators over one denominator
+        self.packed = isinstance(base, PolyDomain)  # elements hold one MultiPoly in e too
 
     def element(self, coeffs: Sequence) -> "TruncElement":
         cs = [self.base.coerce(c) for c in coeffs]
         if len(cs) > self.d:
             raise ValueError("expected at most %d coefficients, got %d" % (self.d, len(cs)))
+        if self.packed:
+            if any(m & EPS_MASK for c in cs for m in c.terms):
+                raise DomainMismatchError("a coefficient uses the reserved variable " + EPS_NAME)
+            return TruncElement(self, MultiPoly({m + k: v for k, c in enumerate(cs)
+                                                 for m, v in c.terms.items()}))
         den, cs = cleared(cs) if self.rational else (1, cs)
         cs += [0 if self.rational else self.base.zero()] * (self.d - len(cs))
         return TruncElement(self, tuple(cs), den)
@@ -99,7 +110,8 @@ class TruncAlgebra:
 
 class TruncElement:
     """Element of K[e]/(e^d) with coefficients nums[k] / den: over Q ints with
-    gcd(den, *nums) == 1 and den > 0 (1 for zero), else base elements over 1."""
+    gcd(den, *nums) == 1 and den > 0 (1 for zero), else base elements over 1;
+    over a polynomial base ``nums`` is one MultiPoly of degree below d in e."""
 
     __slots__ = ("algebra", "nums", "den")
 
@@ -151,6 +163,8 @@ class TruncElement:
         self._check(other)
         if self.algebra.rational:
             return self._linear(other, 1)
+        if self.algebra.packed:
+            return TruncElement(self.algebra, self.nums + other.nums)
         return TruncElement(self.algebra,
                             tuple(a + b for a, b in zip(self.nums, other.nums)))
 
@@ -161,6 +175,8 @@ class TruncElement:
         self._check(other)
         if self.algebra.rational:
             return self._linear(other, -1)
+        if self.algebra.packed:
+            return TruncElement(self.algebra, self.nums - other.nums)
         return TruncElement(self.algebra,
                             tuple(a - b for a, b in zip(self.nums, other.nums)))
 
@@ -168,7 +184,9 @@ class TruncElement:
         return (-self) + other
 
     def __neg__(self):
-        return TruncElement(self.algebra, tuple(-a for a in self.nums), self.den)
+        if self.algebra.rational or not self.algebra.packed:
+            return TruncElement(self.algebra, tuple(-a for a in self.nums), self.den)
+        return TruncElement(self.algebra, -self.nums)
 
     def __mul__(self, other):
         other = self._lift(other)
@@ -182,6 +200,18 @@ class TruncElement:
                     for j in range(d - i):
                         acc[i + j] += a * ys[j]
             return self._reduced(tuple(acc), self.den * other.den)
+        if self.algebra.packed:
+            # one pass over pairs of terms, skipping those of degree d or more in e
+            xs = [(m, c, m & EPS_MASK) for m, c in self.nums.terms.items()]
+            terms = {}
+            for m2, c2 in ys.terms.items():
+                room = d - (m2 & EPS_MASK)
+                for m1, c1, k1 in xs:
+                    if k1 < room:
+                        m = m1 + m2
+                        terms[m] = terms.get(m, 0) + c1 * c2
+            exponent_guard(terms)
+            return TruncElement(self.algebra, MultiPoly(terms))
         # each slot starts at its first product; slots with none are zero
         out = [None] * d
         for i, a in enumerate(self.nums):
@@ -208,17 +238,35 @@ class TruncElement:
         return self * other.inverse()
 
     def coeff(self, k: int):
-        c = self.nums[k]
-        return Fraction(c, self.den) if self.algebra.rational else c
+        if self.algebra.rational:
+            return Fraction(self.nums[k], self.den)
+        if self.algebra.packed:
+            k = range(self.algebra.d)[k]
+            return MultiPoly({m - k: c for m, c in self.nums.terms.items() if m & EPS_MASK == k})
+        return self.nums[k]
 
     def tail(self) -> "TruncElement":
         """The nilpotent part x - x0."""
         if self.algebra.rational:
             return self._reduced((0,) + self.nums[1:], self.den)
+        if self.algebra.packed:
+            return TruncElement(self.algebra, MultiPoly(
+                {m: c for m, c in self.nums.terms.items() if m & EPS_MASK}))
         return TruncElement(self.algebra, (self.algebra.base.zero(),) + self.nums[1:])
 
+    def order(self) -> int:
+        """The least k with x_k nonzero, or d for zero."""
+        d = self.algebra.d
+        if self.algebra.rational:
+            return next((k for k, n in enumerate(self.nums) if n), d)
+        if self.algebra.packed:
+            return min((m & EPS_MASK for m in self.nums.terms), default=d)
+        return next((k for k, c in enumerate(self.nums) if not is_zero(c)), d)
+
     def is_zero(self) -> bool:
-        return not any(self.nums) if self.algebra.rational else all(map(is_zero, self.nums))
+        if self.algebra.rational:
+            return not any(self.nums)
+        return not self.nums.terms if self.algebra.packed else all(map(is_zero, self.nums))
 
     def is_unit(self) -> bool:
         if self.algebra.rational:
@@ -234,7 +282,8 @@ class TruncElement:
         b_k = -(1/x_0) (x_1 b_{k-1} + ... + x_k b_0), about d^2/2 base
         products; needs an invertible constant coefficient.  Over Q it runs on the
         ints e_k = b_k n_0^d / den: e_0 = n_0^(d-1), e_k = -(n_1 e_{k-1} + ... + n_k e_0) / n_0."""
-        x, d, n0 = self.nums, self.algebra.d, self.nums[0]
+        x = self.coeffs if self.algebra.packed else self.nums
+        d, n0 = self.algebra.d, x[0]
         if self.algebra.rational and n0:
             e = [n0 ** (d - 1)]
             for k in range(1, d):
@@ -255,7 +304,7 @@ class TruncElement:
             for i in range(2, k + 1):
                 acc = acc + x[i] * b[k - i]
             b.append(neg_inv0 * acc)
-        return TruncElement(self.algebra, tuple(b))
+        return self.algebra.element(b)
 
     def __eq__(self, other):
         other = self._lift(other)

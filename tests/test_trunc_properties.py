@@ -1,5 +1,6 @@
-"""Ring axioms of K[e]/(e^d) as properties, over Q and over Q(sqrt 2), d = 1..5,
-and the int layout over Q against Fraction arithmetic, d = 1..6 and 65."""
+"""Ring axioms of K[e]/(e^d) as properties, over Q, over Q(sqrt 2) and over
+Q[s, u], d = 1..5, and the int layout over Q against Fraction arithmetic,
+d = 1..6 and 65."""
 
 import random
 from fractions import Fraction
@@ -11,12 +12,16 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from chevkern.kernel import QQ, NotAUnitError, NumberField, is_zero
+from chevkern.kernel import QQ, MultiPoly, NotAUnitError, NumberField, PolyDomain, is_zero
 from chevkern.rings import TruncAlgebra
 
 K = NumberField("w", (-2, 0, 1))
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-SCALARS = {QQ: RATIONALS, K: st.tuples(RATIONALS, RATIONALS).map(K.element)}
+P = PolyDomain()
+MONOMIALS = st.sampled_from([MultiPoly.variable(v) ** k for v in ("s", "u") for k in (1, 2)])
+POLYS = st.lists(st.tuples(RATIONALS, MONOMIALS), max_size=3).map(
+    lambda terms: sum((c * m for c, m in terms), P.zero()))
+SCALARS = {QQ: RATIONALS, K: st.tuples(RATIONALS, RATIONALS).map(K.element), P: POLYS}
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -24,9 +29,11 @@ PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
 @st.composite
 def elements(draw, count):
     """``count`` elements of one K[e]/(e^d), with K and d drawn too."""
-    base = draw(st.sampled_from([QQ, K]))
+    base = draw(st.sampled_from([QQ, K, P]))
     algebra = TruncAlgebra(draw(st.integers(1, 5)), base)
     coeffs = st.lists(SCALARS[base], min_size=algebra.d, max_size=algebra.d)
+    if base == P:  # a constant x0, so that a nonzero one is a unit of Q[s, u]
+        coeffs = st.tuples(RATIONALS, coeffs).map(lambda cs: [cs[0]] + cs[1][1:])
     return [algebra.element(draw(coeffs)) for _ in range(count)]
 
 
