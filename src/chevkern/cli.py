@@ -58,6 +58,7 @@ from .extensions import (
 )
 from .kernel import MAX_PARSE_DEGREE, Matrix, MultiPoly, NotAUnitError, is_zero
 from .rings import TruncAlgebra, factor_one_minus_ux, unit_group_witness
+from .rootsys import Root
 from .steinberg import (
     NONSYMPLECTIC_RELATIONS,
     SYMPLECTIC_RELATIONS,
@@ -92,6 +93,10 @@ def _plain(value):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(value, Root):  # its coordinates, which Root(tuple(...)) reads back
+        return list(value.coords)
+    if isinstance(value, Matrix):  # its rows, which Matrix.from_rows reads back
+        return [_plain(row) for row in value.rows()]
     return str(value)
 
 

@@ -1152,7 +1152,7 @@ class PolyDomain:
         return MultiPoly({})
 
     def one(self):
-        return MultiPoly.constant(1)
+        return MultiPoly._canonical({0: 1})
 
     def coerce(self, x):
         return x if type(x) is MultiPoly else MultiPoly.constant(x)

@@ -58,10 +58,14 @@ class TruncAlgebra:
         return TruncElement(self, tuple(cs), den)
 
     def coerce(self, c) -> "TruncElement":
+        if self.packed and (type(c) is int or type(c) is Fraction):  # a rational constant
+            return TruncElement(self, MultiPoly({0: c}))
         return self.element([c])
 
     def zero(self) -> "TruncElement":
-        return TruncElement(self, (0,) * self.d) if self.rational else self.element([])
+        if self.rational:
+            return TruncElement(self, (0,) * self.d)
+        return TruncElement(self, MultiPoly({})) if self.packed else self.element([])
 
     def one(self) -> "TruncElement":
         return TruncElement(self, (1,) + (0,) * (self.d - 1)) if self.rational else self.coerce(1)
@@ -132,7 +136,7 @@ class TruncElement:
         if not isinstance(other, TruncElement):
             raise DomainMismatchError(
                 "cannot combine truncated element with %s" % type(other).__name__)
-        if other.algebra != self.algebra:
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise DomainMismatchError(
                 "elements of %s and %s do not mix" % (self.algebra, other.algebra))
 
@@ -307,6 +311,8 @@ class TruncElement:
         return self.algebra.element(b)
 
     def __eq__(self, other):
+        if type(other) is TruncElement and other.algebra is self.algebra:
+            return self.nums == other.nums and self.den == other.den
         other = self._lift(other)
         if not isinstance(other, TruncElement):
             return NotImplemented

@@ -107,11 +107,13 @@ def root_string(system: RootSystem, alpha: Root, beta: Root) -> tuple:
         raise ValueError("both arguments must be roots of %s" % system.kind)
     if (alpha + beta).coords == tuple(0 for _ in alpha.coords):
         raise ValueError("opposite roots have no commutator string")
+    # each candidate is a coordinate tuple; a Root is built only for a root
+    pairs = tuple(zip(alpha.coords, beta.coords))
     found = []
     for i in range(1, 5):
         for j in range(1, 5):
-            cand = alpha.scale(i) + beta.scale(j)
-            if system.contains(cand):
-                found.append((i, j, cand))
+            cand = tuple(i * a + j * b for a, b in pairs)
+            if cand in system._root_set:
+                found.append((i, j, Root(cand)))
     found.sort(key=lambda t: (t[0] + t[1], t[0]))
     return tuple(found)

@@ -9,10 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from chevkern import cli, rootsys
+from chevkern import chevalley, cli, extensions, rootsys
+from chevkern.chevalley import build_model, perfectness_witness
 from chevkern.derivations import LOCAL_VAR
-from chevkern.extensions import FinDimAlgebra
+from chevkern.extensions import FinDimAlgebra, TracelessMatrices, killing_form
+from chevkern.kernel import Matrix
 from chevkern.rings import TruncAlgebra, TruncElement
+from chevkern.rootsys import Root
 from chevkern.steinberg import TameSymbol
 
 
@@ -373,6 +376,84 @@ def test_units_fault_sample_replays(tmp_path, monkeypatch):
     assert x * x.inverse() != x.algebra.one()  # the fault is still there
     monkeypatch.undo()
     assert x * x.inverse() == x.algebra.one()  # and it was the inverse
+
+
+def _first_fail(text, name):
+    record = next(r for r in _fail_records(text) if r["name"] == name)
+    assert set(record["detail"]) == {"sample"}
+    return record["detail"]["sample"]
+
+
+def _splits(model, letters):
+    # the check behind "constant-term splitting": g = g0 * c with g0 over Q
+    g = model.word(letters)
+    g0, c = chevalley.levi_decompose(g)
+    algebra = g.matrix.entries[0].algebra
+    embedded = Matrix(g0.matrix.nrows, g0.matrix.ncols,
+                      tuple(algebra.element([x]) for x in g0.matrix.entries))
+    return embedded * c.matrix == g.matrix and model.check_membership(g0)
+
+
+def test_constant_term_splitting_fail_record_replays_its_sample(tmp_path, monkeypatch):
+    original = chevalley.levi_decompose
+
+    def squared(g):  # a fault that only a constant part with a negative entry exposes
+        g0, c = original(g)
+        return (g0, c * c) if min(g0.matrix.entries) < 0 else (g0, c)
+
+    for module in (chevalley, cli):
+        monkeypatch.setattr(module, "levi_decompose", squared)
+    code, text = run_main(["filtration", "--format", "json"], tmp_path)
+    assert code == 1
+    sample = _first_fail(text, "constant-term splitting A2")
+    letters = tuple((Root(tuple(root)), TruncAlgebra(4).parse(t)) for root, t in sample)
+    assert [[list(root.coords), str(t)] for root, t in letters] == sample
+    model = build_model("A2")
+    assert not _splits(model, letters)  # the fault is still there
+    monkeypatch.undo()
+    assert _splits(model, letters)
+
+
+def test_root_element_commutator_fail_record_replays_its_sample(tmp_path, monkeypatch):
+    original = chevalley.h_letters
+
+    def tripled(alpha, u):  # a fault that only a negative root exposes
+        negative = next(c for c in alpha.coords if c) < 0
+        return original(alpha, 3 * u if negative else u)
+
+    monkeypatch.setattr(chevalley, "h_letters", tripled)
+    code, text = run_main(["filtration", "--format", "json"], tmp_path)
+    assert code == 1
+    sample = _first_fail(text, "root elements are commutators A2")
+    alpha, r = Root(tuple(sample[0])), Fraction(sample[1])
+    assert [list(alpha.coords), str(r)] == sample
+    model = build_model("A2")
+    assert not perfectness_witness(model, alpha, r).ok  # the fault is still there
+    monkeypatch.undo()
+    assert perfectness_witness(model, alpha, r).ok
+
+
+def test_pairing_fail_record_replays_its_sample(tmp_path, monkeypatch):
+    original = extensions.ad_matrix
+
+    def doubled(lie, x):  # a fault that only an x with a negative first entry exposes
+        ad = original(lie, x)
+        return ad.scale(2) if x.entries[0] < 0 else ad
+
+    monkeypatch.setattr(extensions, "ad_matrix", doubled)
+    code, text = run_main(["extensions", "--format", "json"], tmp_path)
+    assert code == 1
+    sample = _first_fail(text, "pairing equals scaled trace form")
+    x, y = (Matrix.from_rows([[Fraction(v) for v in row] for row in rows]) for rows in sample)
+    assert [[[str(v) for v in row] for row in m.rows()] for m in (x, y)] == sample
+    lie = TracelessMatrices(2)
+
+    def pairs():
+        return killing_form(lie, x, y) == 2 * lie.n * (x * y).trace()
+
+    assert not pairs()  # the fault is still there
+    monkeypatch.undo()
+    assert pairs()
 
 
 def test_units_self_check_error_is_a_fail_record(tmp_path, monkeypatch):

@@ -112,3 +112,31 @@ def test_opposite_roots_rejected():
     a = Root((1, -1, 0))
     with pytest.raises(ValueError):
         root_string(A2, a, -a)
+
+
+def _root_object_string(system, alpha, beta):
+    # the reference: each candidate built as a Root through scale and +
+    found = []
+    for i in range(1, 5):
+        for j in range(1, 5):
+            cand = alpha.scale(i) + beta.scale(j)
+            if system.contains(cand):
+                found.append((i, j, cand))
+    found.sort(key=lambda t: (t[0] + t[1], t[0]))
+    return tuple(found)
+
+
+@pytest.mark.parametrize("kind", ["A2", "A3", "A5", "C2"])
+def test_root_string_matches_the_root_object_loop(kind):
+    system = enumerate_roots(kind)
+    nonempty = 0
+    for a, b in itertools.product(system.roots, repeat=2):
+        if a == -b:
+            with pytest.raises(ValueError, match="opposite roots"):
+                root_string(system, a, b)
+            continue
+        terms = root_string(system, a, b)
+        assert terms == _root_object_string(system, a, b)
+        assert all(type(root) is Root for _, _, root in terms)
+        nonempty += bool(terms)
+    assert nonempty > 0

@@ -234,6 +234,81 @@ def test_packed_product_past_max_exponent_raises_the_multipoly_error():
     assert str(packed.value) == str(plain.value)
 
 
+# --- constants and equality --------------------------------------------------------
+
+def _typed_terms(x):
+    return {m: (type(c), c) for m, c in x.nums.terms.items()}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_constants_are_the_elements_that_element_builds(d):
+    A = TruncAlgebra(d, P)
+    pairs = [(A.coerce(c), A.element([c]))
+             for c in (0, 1, -1, 3, Fraction(1, 2), Fraction(4, 2))]
+    pairs += [(A.one(), A.element([1])), (A.zero(), A.element([]))]
+    for direct, built in pairs:
+        assert direct == built and _typed_terms(direct) == _typed_terms(built)
+        assert direct.algebra is A and direct.den == 1
+    assert _typed_terms(A.coerce(Fraction(4, 2))) == {0: (int, 2)}
+    assert _typed_terms(A.coerce(Fraction(1, 2))) == {0: (Fraction, Fraction(1, 2))}
+    assert A.zero().nums.terms == {} and A.coerce(0).nums.terms == {}
+
+
+def test_poly_domain_constants():
+    assert P.one() == MultiPoly.constant(1) and _typed_terms(TruncAlgebra(1, P).one()) == {
+        0: (int, 1)}
+    assert P.one().terms == {0: 1} and type(P.one().terms[0]) is int
+    assert P.zero() == MultiPoly({}) and P.zero().terms == {}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("value, message", [
+    (True, "cannot coerce bool into Q"),
+    (1.5, "cannot coerce float into Q"),
+    ("1", "cannot coerce str into Q"),
+    (MultiPoly.variable(EPS_NAME) + 1, "a coefficient uses the reserved variable e'"),
+], ids=["bool", "float", "str", "reserved"])
+def test_constants_of_other_types_keep_their_refusal(d, value, message):
+    A = TruncAlgebra(d, P)
+    for build in (A.coerce, lambda v: A.element([v])):
+        with pytest.raises(DomainMismatchError) as refused:
+            build(value)
+        assert str(refused.value) == message
+
+
+def test_equality_answers_on_every_kind_of_operand():
+    A, B, C = TruncAlgebra(3, P), TruncAlgebra(3, P), TruncAlgebra(2, P)
+    Q, R = TruncAlgebra(3), TruncAlgebra(3)
+    half = Fraction(1, 2)
+    cases = [
+        # within one algebra
+        (A.one(), A.one(), True), (A.one(), A.zero(), False),
+        (A.generic("s"), A.generic("s"), True), (A.generic("s"), A.generic("t"), False),
+        (A.coerce(half), A.element([half]), True), (A.eps(), A.eps(2), False),
+        (Q.coerce(half), Q.coerce(Fraction(1, 3)), False),
+        (Q.coerce(half), Q.element([half]), True),
+        # equal algebras that are distinct objects
+        (A.one(), B.one(), True), (A.generic("s"), B.generic("s"), True),
+        (A.eps(), B.eps(2), False), (Q.one(), R.one(), True),
+        (Q.element([1, half]), R.element([1, half]), True), (Q.eps(), R.one(), False),
+        # different d, and different bases
+        (A.one(), C.one(), False), (A.zero(), C.zero(), False), (Q.one(), A.one(), False),
+        # ints, Fractions and MultiPolys
+        (A.one(), 1, True), (A.coerce(3), 3, True), (A.one(), 2, False),
+        (A.coerce(half), half, True), (A.one(), Fraction(1), True), (A.zero(), 0, True),
+        (A.one(), MultiPoly.constant(1), True), (A.element([MultiPoly.variable("s0")]),
+                                                 MultiPoly.variable("s0"), True),
+        (A.generic("s"), MultiPoly.variable("s0"), False), (Q.one(), 1, True),
+        (Q.coerce(half), half, True), (A.one(), True, False), (A.one(), "1", False),
+    ]
+    for x, y, equal in cases:
+        assert (x == y, y == x, x != y, y != x) == (equal, equal, not equal, not equal), (x, y)
+    # sums across equal algebras mix, across different d they are refused
+    assert A.one() + B.one() == A.coerce(2) and A.eps() * B.eps() == A.eps(2)
+    with pytest.raises(DomainMismatchError, match="do not mix"):
+        A.one() + C.one()
+
+
 # --- the work done ------------------------------------------------------------------
 
 def count_calls(monkeypatch, cls, names, counts, key):
@@ -277,3 +352,30 @@ def test_reserved_slot_is_public_in_kernel():
     assert kernel.EPS_NAME == "e'" and not EPS_NAME.isidentifier()
     assert MultiPoly.variable(EPS_NAME).terms == {1: 1}
     assert all(m & kernel.EPS_MASK == 0 for m in MultiPoly.variable("s").terms)
+
+
+def test_commutator_checks_build_no_constant_through_element(monkeypatch):
+    # a constant of a polynomial-base algebra is built in one step, not
+    # through element -> PolyDomain.coerce -> MultiPoly.constant
+    counts = {"element": 0, "constant": 0}
+    count_calls(monkeypatch, TruncAlgebra, ("element",), counts, "element")
+    constant = MultiPoly.constant
+
+    def counted_constant(value):
+        counts["constant"] += 1
+        return constant(value)
+
+    monkeypatch.setattr(MultiPoly, "constant", staticmethod(counted_constant))
+    algebra = TruncAlgebra(2, P)
+    s, t = algebra.generic("s"), algebra.generic("t")
+    for kind, first_only in (("A2", True), ("C2", False)):
+        model, constants = build_model(kind), load_structure_constants(kind)
+        pairs = [(a, b) for a, b in ordered_root_pairs(model.system)
+                 if not first_only or model.string(a, b)][:1 if first_only else None]
+        counts.update(element=0, constant=0)
+        for alpha, beta in pairs:
+            assert verify_commutator(model, alpha, beta, s, t, constants).ok
+        assert counts == {"element": 0, "constant": 0}, kind
+    # the control: the counters see a constant built through element
+    algebra.element([1])
+    assert counts == {"element": 1, "constant": 1}
