@@ -530,6 +530,8 @@ class MultiPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {0}:  # a constant hashes as the rational it equals
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):

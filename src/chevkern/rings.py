@@ -1,13 +1,12 @@
-"""Truncated polynomial algebras K[e]/(e^d) and friends.
+"""Truncated polynomial algebras K[e]/(e^d) over K = Q or K = Q[...], and friends.
 
-An element is a coefficient vector (x0, ..., x_{d-1}) in a base domain K;
-multiplication is truncated convolution.  Over a field base an element is a
-unit exactly when its constant coefficient x0 is nonzero, and the inverse
-comes coefficient by coefficient from x * x^-1 = 1.  Over K = Q the vector
-is int numerators over one positive denominator in lowest terms, the layout of
-FLINT's ``fmpq_poly``; ``coeffs`` and ``coeff(k)`` still give ``Fraction``s.
-Over a polynomial base the element is one ``MultiPoly`` sum_k x_k e^k, with e
-in the reserved slot ``kernel.EPS_NAME`` of the packed monomials.
+An element is a coefficient vector (x0, ..., x_{d-1}) in K; multiplication is
+truncated convolution.  An element is a unit exactly when x0 is a unit of K,
+and the inverse comes coefficient by coefficient from x * x^-1 = 1.  Each base
+has one layout.  Over Q the vector is int numerators over one positive
+denominator in lowest terms, the layout of FLINT's ``fmpq_poly``; ``coeffs``
+and ``coeff(k)`` still give ``Fraction``s.  Over Q[...] the element is one
+``MultiPoly`` sum_k x_k e^k, with e in the reserved slot ``kernel.EPS_NAME``.
 """
 
 from __future__ import annotations
@@ -34,38 +33,40 @@ from .kernel import (
 
 
 class TruncAlgebra:
-    """The algebra K[e]/(e^d) over a base domain descriptor."""
+    """The algebra K[e]/(e^d) over the base domain QQ or a PolyDomain."""
 
     def __init__(self, d: int, base=QQ):
-        if d < 1:
-            raise ValueError("truncation order must be at least 1")
+        if type(d) is not int or d < 1:
+            raise ValueError("truncation order must be an int of at least 1, not %r" % (d,))
+        self.rational = base == QQ  # int numerators over one denominator, else one MultiPoly
+        if not (self.rational or isinstance(base, PolyDomain)):
+            raise DomainMismatchError("truncated algebras are over QQ or a PolyDomain, not %r"
+                                      % (base,))
         self.d = d
         self.base = base
-        self.rational = base == QQ  # elements hold int numerators over one denominator
-        self.packed = isinstance(base, PolyDomain)  # elements hold one MultiPoly in e too
 
     def element(self, coeffs: Sequence) -> "TruncElement":
         cs = [self.base.coerce(c) for c in coeffs]
         if len(cs) > self.d:
             raise ValueError("expected at most %d coefficients, got %d" % (self.d, len(cs)))
-        if self.packed:
+        if not self.rational:
             if any(m & EPS_MASK for c in cs for m in c.terms):
                 raise DomainMismatchError("a coefficient uses the reserved variable " + EPS_NAME)
             return TruncElement(self, MultiPoly({m + k: v for k, c in enumerate(cs)
                                                  for m, v in c.terms.items()}))
-        den, cs = cleared(cs) if self.rational else (1, cs)
-        cs += [0 if self.rational else self.base.zero()] * (self.d - len(cs))
+        den, cs = cleared(cs)
+        cs += [0] * (self.d - len(cs))
         return TruncElement(self, tuple(cs), den)
 
     def coerce(self, c) -> "TruncElement":
-        if self.packed and (type(c) is int or type(c) is Fraction):  # a rational constant
+        if not self.rational and (type(c) is int or type(c) is Fraction):  # a rational constant
             return TruncElement(self, MultiPoly({0: c}))
         return self.element([c])
 
     def zero(self) -> "TruncElement":
         if self.rational:
             return TruncElement(self, (0,) * self.d)
-        return TruncElement(self, MultiPoly({})) if self.packed else self.element([])
+        return TruncElement(self, MultiPoly({}))
 
     def one(self) -> "TruncElement":
         return TruncElement(self, (1,) + (0,) * (self.d - 1)) if self.rational else self.coerce(1)
@@ -89,7 +90,7 @@ class TruncAlgebra:
 
         Only meaningful over a polynomial base domain.
         """
-        if not isinstance(self.base, PolyDomain):
+        if self.rational:
             raise DomainMismatchError("generic elements need a polynomial base domain")
         return self.element([MultiPoly.variable("%s%d" % (prefix, k))
                              for k in range(self.d)])
@@ -114,8 +115,8 @@ class TruncAlgebra:
 
 class TruncElement:
     """Element of K[e]/(e^d) with coefficients nums[k] / den: over Q ints with
-    gcd(den, *nums) == 1 and den > 0 (1 for zero), else base elements over 1;
-    over a polynomial base ``nums`` is one MultiPoly of degree below d in e."""
+    gcd(den, *nums) == 1 and den > 0 (1 for zero); over a polynomial base
+    ``nums`` is one MultiPoly of degree below d in e, over den == 1."""
 
     __slots__ = ("algebra", "nums", "den")
 
@@ -145,7 +146,7 @@ class TruncElement:
             return other
         if type(other) is int or type(other) is Fraction:  # not a bool
             return self.algebra.coerce(other)
-        if isinstance(other, MultiPoly) and isinstance(self.algebra.base, PolyDomain):
+        if isinstance(other, MultiPoly) and not self.algebra.rational:
             return self.algebra.element([other])
         return other
 
@@ -167,10 +168,7 @@ class TruncElement:
         self._check(other)
         if self.algebra.rational:
             return self._linear(other, 1)
-        if self.algebra.packed:
-            return TruncElement(self.algebra, self.nums + other.nums)
-        return TruncElement(self.algebra,
-                            tuple(a + b for a, b in zip(self.nums, other.nums)))
+        return TruncElement(self.algebra, self.nums + other.nums)
 
     __radd__ = __add__
 
@@ -179,16 +177,13 @@ class TruncElement:
         self._check(other)
         if self.algebra.rational:
             return self._linear(other, -1)
-        if self.algebra.packed:
-            return TruncElement(self.algebra, self.nums - other.nums)
-        return TruncElement(self.algebra,
-                            tuple(a - b for a, b in zip(self.nums, other.nums)))
+        return TruncElement(self.algebra, self.nums - other.nums)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        if self.algebra.rational or not self.algebra.packed:
+        if self.algebra.rational:
             return TruncElement(self.algebra, tuple(-a for a in self.nums), self.den)
         return TruncElement(self.algebra, -self.nums)
 
@@ -204,32 +199,17 @@ class TruncElement:
                     for j in range(d - i):
                         acc[i + j] += a * ys[j]
             return self._reduced(tuple(acc), self.den * other.den)
-        if self.algebra.packed:
-            # one pass over pairs of terms, skipping those of degree d or more in e
-            xs = [(m, c, m & EPS_MASK) for m, c in self.nums.terms.items()]
-            terms = {}
-            for m2, c2 in ys.terms.items():
-                room = d - (m2 & EPS_MASK)
-                for m1, c1, k1 in xs:
-                    if k1 < room:
-                        m = m1 + m2
-                        terms[m] = terms.get(m, 0) + c1 * c2
-            exponent_guard(terms)
-            return TruncElement(self.algebra, MultiPoly(terms))
-        # each slot starts at its first product; slots with none are zero
-        out = [None] * d
-        for i, a in enumerate(self.nums):
-            if is_zero(a):
-                continue
-            for j in range(d - i):
-                b = ys[j]
-                if is_zero(b):
-                    continue
-                k = i + j
-                out[k] = a * b if out[k] is None else out[k] + a * b
-        base = self.algebra.base
-        return TruncElement(self.algebra,
-                            tuple(base.zero() if c is None else c for c in out))
+        # one pass over pairs of terms, skipping those of degree d or more in e
+        xs = [(m, c, m & EPS_MASK) for m, c in self.nums.terms.items()]
+        terms = {}
+        for m2, c2 in ys.terms.items():
+            room = d - (m2 & EPS_MASK)
+            for m1, c1, k1 in xs:
+                if k1 < room:
+                    m = m1 + m2
+                    terms[m] = terms.get(m, 0) + c1 * c2
+        exponent_guard(terms)
+        return TruncElement(self.algebra, MultiPoly(terms))
 
     __rmul__ = __mul__
 
@@ -244,33 +224,27 @@ class TruncElement:
     def coeff(self, k: int):
         if self.algebra.rational:
             return Fraction(self.nums[k], self.den)
-        if self.algebra.packed:
-            k = range(self.algebra.d)[k]
-            return MultiPoly({m - k: c for m, c in self.nums.terms.items() if m & EPS_MASK == k})
-        return self.nums[k]
+        k = range(self.algebra.d)[k]
+        return MultiPoly({m - k: c for m, c in self.nums.terms.items() if m & EPS_MASK == k})
 
     def tail(self) -> "TruncElement":
         """The nilpotent part x - x0."""
         if self.algebra.rational:
             return self._reduced((0,) + self.nums[1:], self.den)
-        if self.algebra.packed:
-            return TruncElement(self.algebra, MultiPoly(
-                {m: c for m, c in self.nums.terms.items() if m & EPS_MASK}))
-        return TruncElement(self.algebra, (self.algebra.base.zero(),) + self.nums[1:])
+        return TruncElement(self.algebra, MultiPoly(
+            {m: c for m, c in self.nums.terms.items() if m & EPS_MASK}))
 
     def order(self) -> int:
         """The least k with x_k nonzero, or d for zero."""
         d = self.algebra.d
         if self.algebra.rational:
             return next((k for k, n in enumerate(self.nums) if n), d)
-        if self.algebra.packed:
-            return min((m & EPS_MASK for m in self.nums.terms), default=d)
-        return next((k for k, c in enumerate(self.nums) if not is_zero(c)), d)
+        return min((m & EPS_MASK for m in self.nums.terms), default=d)
 
     def is_zero(self) -> bool:
         if self.algebra.rational:
             return not any(self.nums)
-        return not self.nums.terms if self.algebra.packed else all(map(is_zero, self.nums))
+        return not self.nums.terms
 
     def is_unit(self) -> bool:
         if self.algebra.rational:
@@ -286,7 +260,7 @@ class TruncElement:
         b_k = -(1/x_0) (x_1 b_{k-1} + ... + x_k b_0), about d^2/2 base
         products; needs an invertible constant coefficient.  Over Q it runs on the
         ints e_k = b_k n_0^d / den: e_0 = n_0^(d-1), e_k = -(n_1 e_{k-1} + ... + n_k e_0) / n_0."""
-        x = self.coeffs if self.algebra.packed else self.nums
+        x = self.nums if self.algebra.rational else self.coeffs
         d, n0 = self.algebra.d, x[0]
         if self.algebra.rational and n0:
             e = [n0 ** (d - 1)]
@@ -318,8 +292,10 @@ class TruncElement:
             return NotImplemented
         return self.algebra == other.algebra and self.nums == other.nums and self.den == other.den
 
-    def __hash__(self):
-        return hash((self.algebra, self.nums, self.den))
+    def __hash__(self):  # that of the int, Fraction or MultiPoly it equals, if any
+        if self.algebra.rational and not any(self.nums[1:]):
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.nums, self.den) if self.algebra.rational else self.nums)
 
     def __str__(self):
         parts = []

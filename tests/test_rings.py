@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -73,7 +74,6 @@ def _geometric_inverse(x):
 
 def test_trunc_inverse_matches_geometric_series():
     rng = random.Random(43)
-    K = NumberField("w", (-2, 0, 1))
     s, t = MultiPoly.variable("s"), MultiPoly.variable("t")
 
     def rat():
@@ -85,7 +85,6 @@ def test_trunc_inverse_matches_geometric_series():
     # (base, a draw of a coefficient, a draw of a unit of the base)
     draws = (
         (QQ, rat, nonzero),
-        (K, lambda: K.element([rat(), rat()]), lambda: K.element([nonzero(), rat()])),
         (PolyDomain(), lambda: rat() + rat() * s + rat() * t * t, nonzero),
     )
     for base, draw, unit in draws:
@@ -140,15 +139,38 @@ def test_trunc_mismatched_order_rejected():
         x * y
 
 
-def test_trunc_over_number_field():
-    K = NumberField("w", (-2, 0, 1))
-    A = TruncAlgebra(3, base=K)
-    w = K.generator()
-    x = A.element([w, K.one(), K.zero()])
-    y = x * x
-    assert y.coeff(0) == K.from_rational(2)
-    assert y.coeff(1) == w + w
-    assert (x * x.inverse()) == A.one()
+@pytest.mark.parametrize("base, shown", [
+    (NumberField("w", (-2, 0, 1)), "NumberField('w', [-2, 0, 1])"),
+    (TruncAlgebra(2), "QQ[e]/(e^2)"),
+    (object(), "<object object at 0x"),
+], ids=["NumberField", "TruncAlgebra", "object"])
+def test_trunc_algebra_refuses_other_bases(base, shown):
+    # each element has one of two layouts: ints over one denominator over QQ,
+    # one packed MultiPoly over a PolyDomain
+    with pytest.raises(DomainMismatchError, match="^truncated algebras are over QQ or a "
+                                                  "PolyDomain, not " + re.escape(shown)):
+        TruncAlgebra(2, base)
+
+
+def test_trunc_algebra_refuses_an_order_that_is_not_a_positive_int():
+    # a float would fail only at the first product, and a bool is not a number here
+    for d in (2.0, True, 0):
+        with pytest.raises(ValueError, match="^truncation order must be an int of at least 1, "
+                                             "not %s$" % re.escape(repr(d))):
+            TruncAlgebra(d)
+
+
+def test_equal_values_hash_equal_across_types():
+    # Python's contract: x == y implies hash(x) == hash(y)
+    one = TruncAlgebra(3).one()
+    assert one == 1 and len({one, 1}) == 1
+    assert MultiPoly.constant(1) == 1 and hash(MultiPoly.constant(1)) == hash(1)
+    assert MultiPoly({}) == 0 and hash(MultiPoly({})) == hash(0)
+    x = MultiPoly.variable("x")
+    y = TruncAlgebra(3, PolyDomain()).element([x])
+    assert y == x and hash(y) == hash(x)
+    half = TruncAlgebra(3, PolyDomain()).coerce(Q(1, 2))
+    assert half == Q(1, 2) and len({half, Q(1, 2), MultiPoly.constant(Q(1, 2))}) == 1
 
 
 def test_trunc_serialization_roundtrip():
