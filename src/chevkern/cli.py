@@ -19,6 +19,7 @@ import random
 import sys
 import zlib
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, neg
 from pathlib import Path
 
@@ -56,7 +57,7 @@ from .extensions import (
     reassemble,
     splitness_verdict,
 )
-from .kernel import MAX_PARSE_DEGREE, Matrix, MultiPoly, NotAUnitError, is_zero
+from .kernel import MAX_PARSE_DEGREE, Matrix, MultiPoly, NotAUnitError, draw_below, is_zero
 from .rings import TruncAlgebra, factor_one_minus_ux, unit_group_witness
 from .rootsys import Root
 from .steinberg import (
@@ -164,8 +165,12 @@ def _suite_rng(seed: int, suite: str) -> random.Random:
     return random.Random(seed ^ zlib.crc32(suite.encode("utf-8")))
 
 
+def _rat_pair(bits) -> tuple:  # (num, den) as randint(-9, 9) and randint(1, 9) draw them
+    return draw_below(bits, 19) - 9, draw_below(bits, 9) + 1
+
+
 def _rat(rng) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return Fraction(*_rat_pair(rng.getrandbits))
 
 
 def _draw_until(draw, accept):
@@ -180,10 +185,14 @@ def _nonzero_rat(rng) -> Fraction:
 
 
 def _trunc_elem(algebra: TruncAlgebra, rng, unit=False):
-    coeffs = [_rat(rng) for _ in range(algebra.d)]
-    if unit and coeffs[0] == 0:
-        coeffs[0] = _nonzero_rat(rng)
-    return algebra.element(coeffs)
+    bits = rng.getrandbits
+    pairs = [_rat_pair(bits) for _ in range(algebra.d)]
+    if unit and pairs[0][0] == 0:
+        pairs[0] = _draw_until(lambda: _rat_pair(bits), lambda pair: pair[0])
+    den = lcm(*[q for _, q in pairs])
+    nums = [p * (den // q) for p, q in pairs]
+    g = gcd(den, *nums)
+    return algebra.from_cleared(den // g, [n // g for n in nums])
 
 
 def _root_name(root) -> str:
@@ -312,12 +321,13 @@ def run_filtration(report: Report, cfg, rng):
                           tuple(algebra.element([x]) for x in g0.matrix.entries))
         return embedded * c.matrix == g.matrix and model.check_membership(g0)
 
-    draws = [tuple((rng.choice(model.system.roots), _trunc_elem(algebra, rng))
+    roots = model.system.roots
+    draws = [tuple((roots[draw_below(rng.getrandbits, len(roots))], _trunc_elem(algebra, rng))
                    for _ in range(3))
              for _ in range(max(3, cfg.samples // 5))]
     report.check("constant-term splitting %s" % model.system.kind, draws, splits)
 
-    draws = [(alpha, _nonzero_rat(rng)) for alpha in model.system.roots]
+    draws = [(alpha, _nonzero_rat(rng)) for alpha in roots]
     report.check("root elements are commutators %s" % model.system.kind, draws,
                  lambda alpha, r: perfectness_witness(model, alpha, r).ok,
                  scaling="s=2")

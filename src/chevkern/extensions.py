@@ -32,6 +32,7 @@ from .kernel import (
     SingularMatrixError,
     cleared,
     cleared_row_reduce,
+    draw_below,
     pdivmod,
     pmul,
     ptrim,
@@ -89,8 +90,8 @@ class TracelessMatrices:
     def bracket(self, x: Matrix, y: Matrix) -> Matrix:
         return x * y - y * x
 
-    def random_element(self, rng) -> Matrix:
-        return self.from_coords([Fraction(rng.randint(-3, 3)) for _ in range(self.dim)])
+    def random_element(self, rng) -> Matrix:  # coordinates drawn as randint(-3, 3) draws them
+        return self.from_coords([draw_below(rng.getrandbits, 7) - 3 for _ in range(self.dim)])
 
 
 def ad_matrix(lie: TracelessMatrices, x: Matrix) -> Matrix:

@@ -142,6 +142,16 @@ def cleared(vec) -> tuple:
     return d, [p * (d // q) for p, q in pairs]
 
 
+def draw_below(getrandbits, n: int) -> int:
+    """``random.Random.randrange(n)`` from the same stream, draw for draw: the
+    first ``getrandbits(k)`` below n, k = n.bit_length()."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _horner_mod(cs, x, m):
     acc = 0
     for c in reversed(cs):

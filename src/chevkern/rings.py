@@ -54,9 +54,13 @@ class TruncAlgebra:
                 raise DomainMismatchError("a coefficient uses the reserved variable " + EPS_NAME)
             return TruncElement(self, MultiPoly({m + k: v for k, c in enumerate(cs)
                                                  for m, v in c.terms.items()}))
-        den, cs = cleared(cs)
-        cs += [0] * (self.d - len(cs))
-        return TruncElement(self, tuple(cs), den)
+        return self.from_cleared(*cleared(cs))
+
+    def from_cleared(self, den: int, nums: Sequence) -> "TruncElement":
+        """The element nums[k] / den over Q, from ints over den > 0 in lowest terms."""
+        if not self.rational:
+            raise DomainMismatchError("cleared coefficients are for an algebra over QQ")
+        return TruncElement(self, tuple(nums) + (0,) * (self.d - len(nums)), den)
 
     def coerce(self, c) -> "TruncElement":
         if not self.rational and (type(c) is int or type(c) is Fraction):  # a rational constant

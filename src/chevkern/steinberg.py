@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .chevalley import ChevalleyModel, GroupElement, h_letters, inverse_letters
-from .kernel import QQ, as_ring_element, is_prime, is_zero, one_like
+from .kernel import QQ, as_ring_element, draw_below, is_prime, is_zero, one_like
 from .rootsys import Root
 
 
@@ -186,10 +186,11 @@ NONSYMPLECTIC_RELATIONS = ("cocycle", "minus_shift", "one_minus_shift",
 
 
 def _sample_nonzero(rng: random.Random, p: int) -> Fraction:
-    # mix p-heavy and p-free numbers so valuations vary
-    k = rng.randint(-2, 2)
-    num = rng.randint(1, 40) * rng.choice((1, -1))
-    den = rng.randint(1, 40)
+    # mix p-heavy and p-free numbers so valuations vary; draws as randint and choice do
+    bits = rng.getrandbits
+    k = draw_below(bits, 5) - 2
+    num = (draw_below(bits, 40) + 1) * (1, -1)[draw_below(bits, 2)]
+    den = draw_below(bits, 40) + 1
     if k >= 0:
         return Fraction(num * p ** k, den)
     return Fraction(num, den * p ** -k)
@@ -217,13 +218,17 @@ _DERIVED_TESTS = {
 
 def _sweep(symbol: TameSymbol, tests: dict, names, draws: int,
            samples: int, seed: int):
-    """One RelationRecord per name; each sample draws ``draws`` arguments."""
+    """One RelationRecord per name; each sample draws ``draws`` arguments.
+    A bad name or ``samples`` is refused before the first draw."""
+    if type(samples) is not int or samples < 1:
+        raise ValueError("samples must be an int of at least 1, not %r" % (samples,))
+    for name in names:
+        if name not in tests:
+            raise ValueError("unknown relation %r" % name)
     rng = random.Random(seed)
     p = symbol.p
     records = []
     for name in names:
-        if name not in tests:
-            raise ValueError("unknown relation %r" % name)
         arity, test = tests[name]
         checked = 0
         failures = []

@@ -160,6 +160,16 @@ def test_trunc_algebra_refuses_an_order_that_is_not_a_positive_int():
             TruncAlgebra(d)
 
 
+def test_from_cleared_builds_the_q_layout_only():
+    # the one way into the Q layout; element ends in it too
+    x = TruncAlgebra(3).from_cleared(6, [-3, 2])
+    assert (x.nums, x.den) == ((-3, 2, 0), 6)
+    assert x == TruncAlgebra(3).element([Q(-1, 2), Q(1, 3)])
+    with pytest.raises(DomainMismatchError, match="^cleared coefficients are for an algebra "
+                                                  "over QQ$"):
+        TruncAlgebra(3, PolyDomain()).from_cleared(1, [1])
+
+
 def test_equal_values_hash_equal_across_types():
     # Python's contract: x == y implies hash(x) == hash(y)
     one = TruncAlgebra(3).one()

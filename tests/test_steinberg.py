@@ -269,6 +269,28 @@ def test_derived_identities():
             assert r.ok, (p, r.name, r.failures[:2])
 
 
+def test_sweep_arguments_are_checked_before_any_draw():
+    # a bad name is refused before a valid one before it is swept, and
+    # samples < 1 is refused rather than giving checked=0 records that pass
+    class Counting(TameSymbol):
+        calls = 0
+
+        def __call__(self, x, y):
+            Counting.calls += 1
+            return super().__call__(x, y)
+
+    s = Counting(5)
+    with pytest.raises(ValueError, match="unknown relation 'bogus'"):
+        check_symbol_relations(s, ("cocycle", "bogus"), samples=100000)
+    for samples in (0, -3, 2.0, True):
+        with pytest.raises(ValueError, match="samples must be an int of at least 1"):
+            check_symbol_relations(s, ("cocycle",), samples=samples)
+        with pytest.raises(ValueError, match="samples must be an int of at least 1"):
+            derived_symbol_identities(s, samples=samples)
+    assert Counting.calls == 0
+    assert [r.checked for r in check_symbol_relations(s, ("cocycle",), samples=1)] == [1]
+
+
 def test_relation_failure_carries_witness():
     # a deliberately wrong "symbol" must produce replayable witnesses;
     # the corruption exponent a^2 b is not bilinear, so the cocycle rule breaks
