@@ -38,7 +38,6 @@ from .kernel import (
     ptrim,
     pxgcd,
     rational_roots,
-    row_reduce,
     rref,
 )
 from .rings import TruncAlgebra
@@ -165,6 +164,12 @@ def _add_vectors(d1: int, x: tuple, d2: int, y: tuple) -> tuple:
     den = lcm(d1, d2)
     s, t = den // d1, den // d2
     return _lowest(den, tuple([p * s + q * t for p, q in zip(x, y)]))
+
+
+def _fractions(pair: tuple) -> tuple:
+    """The coordinates of a (den, ints) pair as Fractions."""
+    den, nums = pair
+    return tuple([Fraction(v, den) for v in nums])
 
 
 class HeisenbergElement:
@@ -556,7 +561,11 @@ class FinDimAlgebra:
     # -- arithmetic ---------------------------------------------------------------
 
     def mult(self, x: Sequence, y: Sequence) -> tuple:
-        (dx, xs), (dy, ys) = cleared(x), cleared(y)
+        return _fractions(self._times(cleared(x), cleared(y)))
+
+    def _times(self, x: tuple, y: tuple) -> tuple:
+        """x * y on (den, ints) pairs, as (den, ints) in lowest terms."""
+        (dx, xs), (dy, ys) = x, y
         out = [0] * self.dim
         ys = [(j, yj) for j, yj in enumerate(ys) if yj]
         for i, xi in enumerate(xs):
@@ -567,8 +576,7 @@ class FinDimAlgebra:
                 f = xi * yj
                 for k, c in plane[j]:
                     out[k] += f * c
-        den = dx * dy * self._den
-        return tuple(Fraction(v, den) for v in out)
+        return _lowest(dx * dy * self._den, tuple(out))
 
     def basis_vector(self, k: int) -> tuple:
         return tuple(Fraction(1) if i == k else Fraction(0) for i in range(self.dim))
@@ -747,48 +755,52 @@ class DecompositionReport:
 
 
 def _pivots(vectors) -> list:
-    """Indices of the vectors that are independent of the ones before them."""
-    return cleared_row_reduce(zip(*vectors), len(vectors))[0]
+    """Indices of the (den, ints) vectors independent of those before them, from the ints alone."""
+    return cleared_row_reduce(zip(*[v for _, v in vectors]), len(vectors))[0]
 
 
 def _combination(coeffs, vectors) -> tuple:
-    """The sum of c * v over paired coefficients and coordinate vectors."""
-    pairs = [(c, v) for c, v in zip(coeffs, vectors) if c]
-    return tuple(sum((c * v[i] for c, v in pairs if v[i]), Fraction(0))
-                 for i in range(len(vectors[0])))
+    """The sum of c * v over the paired c of coeffs and vectors v, all (den, ints)."""
+    dc, cs = coeffs
+    pairs = [(c, d, v) for c, (d, v) in zip(cs, vectors) if c]
+    den = lcm(*[d for _, d, _ in pairs])
+    scaled = [(c * (den // d), v) for c, d, v in pairs]
+    return _lowest(dc * den, tuple([sum([f * v[i] for f, v in scaled if v[i]])
+                                    for i in range(len(vectors[0][1]))]))
 
 
 def _minpoly_on_block(algebra: FinDimAlgebra, e, y):
     """Minimal polynomial of multiplication by y on the block eA, and e, ey, ey^2, ...
 
     y acts on eA as e y does, so a basis vector y keeps the products sparse.
-    The powers up to ey^n, n = dim A >= dim eA, are reduced together; the
-    first one that depends on those before it has its coordinates in them
-    in its reduced column.
+    The ints of the (den, ints) powers up to ey^n, n = dim A >= dim eA, are
+    reduced together; the first, k, that depends on those before it has c_j
+    in its reduced column, and power j enters ey^k with c_j d_j / d_k.
     """
     n = algebra.dim
     powers = [e]
     for _ in range(n):
-        powers.append(algebra.mult(powers[-1], y))
-    rows = [list(row) for row in zip(*powers)]
-    pivots = row_reduce(rows, n + 1)
+        powers.append(algebra._times(powers[-1], y))
+    pivots, held = cleared_row_reduce(zip(*[v for _, v in powers]), n + 1)
     k = next((k for k, p in enumerate(pivots) if p != k), len(pivots))
-    return tuple(-row[k] for row in rows[:k]) + (Fraction(1),), powers[:k + 1]
+    dk = powers[k][0]
+    return tuple([Fraction(-nums[k] * dj, d * dk) for (d, nums), (dj, _) in zip(held[:k], powers)]
+                 ) + (Fraction(1),), powers[:k + 1]
 
 
-def _split_block(algebra: FinDimAlgebra, e, indices):
+def _split_block(algebra: FinDimAlgebra, e, ys):
     """Split the idempotent e as E + (e - E) at a rational eigenvalue, or None.
 
-    Each b_k, k in indices (the e b_k span eA), is tried as y.  The roots of
-    y's minimal polynomial on eA are the conjugates of e y's values in the
-    residue fields of eA.  A y with no rational root shows that no residue
-    field of eA is Q (None).  Otherwise poly = P R with P = (t - lam)^m and R
-    prime to it.  A constant R makes y a scalar modulo the radical, and the
-    next b_k is tried; else sP + tR = 1 makes (tR)(y) idempotent: it is
-    1 mod P and 0 mod R.
+    Each basis vector y in ys (the e y span eA; all are (den, ints) pairs) is
+    tried.  The roots of y's minimal polynomial on eA are the conjugates of
+    e y's values in the residue fields of eA.  A y with no rational root shows
+    that no residue field of eA is Q (None).  Otherwise poly = P R with
+    P = (t - lam)^m and R prime to it.  A constant R makes y a scalar modulo
+    the radical, and the next y is tried; else sP + tR = 1 makes (tR)(y)
+    idempotent: it is 1 mod P and 0 mod R.
     """
-    for k in indices:
-        poly, powers = _minpoly_on_block(algebra, e, algebra.basis_vector(k))
+    for y in ys:
+        poly, powers = _minpoly_on_block(algebra, e, y)
         roots = rational_roots(poly)
         if not roots:
             return None
@@ -799,10 +811,10 @@ def _split_block(algebra: FinDimAlgebra, e, indices):
             continue
         g, _, t = pxgcd(part, rest)
         # deg tR < deg poly, so (tR)(y) is a combination of the powers
-        idem = _combination([c / g[0] for c in pmul(t, rest)], powers)
-        if algebra.mult(idem, idem) != idem:
+        idem = _combination(cleared([c / g[0] for c in pmul(t, rest)]), powers)
+        if algebra._times(idem, idem) != idem:
             raise ArithmeticError("constructed element is not idempotent")
-        return [idem, tuple(a - b for a, b in zip(e, idem))]
+        return [idem, _add_vectors(*e, idem[0], tuple([-v for v in idem[1]]))]
     return None
 
 
@@ -815,18 +827,21 @@ def decompose_algebra(algebra: FinDimAlgebra) -> DecompositionReport:
     dim eA - dim e rad(A) = 1; any other block is split by an exact
     idempotent at a rational eigenvalue (_split_block), or has no residue
     field Q and raises IdempotentLiftingError.  Each factor is examined for
-    principality of its maximal ideal.
+    principality of its maximal ideal.  Vectors are (den, ints) pairs in lowest
+    terms, so equal vectors are equal pairs; the factors give them as Fractions.
     """
     n = algebra.dim
-    rad_basis = list(rref(algebra.trace_form())[2])
+    basis = [(1, tuple([int(i == k) for i in range(n)])) for k in range(n)]
+    rad_basis = [cleared(r) for r in rref(algebra.trace_form())[2]]
+    unit = _combination(cleared(algebra.unit), basis)  # a (den, ints) pair in lowest terms
 
     # split blocks depth first; each block spans eA and e rad(A) once, and a
     # local one keeps them for its factor analysis
     blocks = []
-    todo = [algebra.unit]
+    todo = [unit]
     while todo:
         e = todo.pop()
-        products = [algebra.mult(e, algebra.basis_vector(k)) for k in range(n)]
+        products = [algebra._times(e, b) for b in basis]
         pivots = _pivots(products)
         factor_vectors = [products[p] for p in pivots]
         # e r from the coordinates of r and the products e b_k
@@ -836,7 +851,7 @@ def decompose_algebra(algebra: FinDimAlgebra) -> DecompositionReport:
         if residue_dim <= 1:
             blocks.append((e, factor_vectors, ideal_vectors))
             continue
-        split = _split_block(algebra, e, pivots)
+        split = _split_block(algebra, e, [basis[p] for p in pivots])
         if split is None:
             raise IdempotentLiftingError(
                 "a part of the algebra has a residue algebra of dimension %d over Q "
@@ -845,28 +860,29 @@ def decompose_algebra(algebra: FinDimAlgebra) -> DecompositionReport:
         todo.extend(reversed(split))
     # orthogonality and completeness of the idempotents
     idempotents = [e for e, _, _ in blocks]
-    if any(any(algebra.mult(a, b)) for a, b in itertools.combinations(idempotents, 2)):
+    if any(any(algebra._times(a, b)[1]) for a, b in itertools.combinations(idempotents, 2)):
         raise ArithmeticError("idempotents are not orthogonal")
-    if tuple(sum(c, Fraction(0)) for c in zip(*idempotents)) != algebra.unit:
+    if functools.reduce(lambda s, e: _add_vectors(*s, *e), idempotents) != unit:
         raise ArithmeticError("idempotents do not sum to the unit")
 
     report = DecompositionReport(algebra=algebra, radical_dim=len(rad_basis))
-    for e, factor_vectors, ideal_vectors in sorted(blocks):
+    for idem, e, factor_vectors, ideal_vectors in sorted((_fractions(b[0]),) + b for b in blocks):
         fdim = len(factor_vectors)
         mdim = len(ideal_vectors)
         if mdim == 0:
             report.factors.append(LocalFactor(
-                idempotent=e, dim=fdim, principal=True, trunc_order=1,
-                basis=(e,), maximal_ideal_generators=0))
+                idempotent=idem, dim=fdim, principal=True, trunc_order=1,
+                basis=(idem,), maximal_ideal_generators=0))
             continue
-        m2_vectors = [algebra.mult(x, y)
+        m2_vectors = [algebra._times(x, y)
                       for x, y in itertools.product(ideal_vectors, repeat=2)]
         pivots = _pivots(m2_vectors + ideal_vectors)
         m2_rank = sum(p < len(m2_vectors) for p in pivots)
         embedding_dim = mdim - m2_rank
         if embedding_dim > 1:
             report.factors.append(LocalFactor(
-                idempotent=e, dim=fdim, principal=False, basis=tuple(factor_vectors),
+                idempotent=idem, dim=fdim, principal=False,
+                basis=tuple(map(_fractions, factor_vectors)),
                 maximal_ideal_generators=embedding_dim))
             continue
         # principal: the first ideal vector outside m^2 (the first pivot past
@@ -878,14 +894,14 @@ def decompose_algebra(algebra: FinDimAlgebra) -> DecompositionReport:
         generator = ideal_vectors[outside[0]]
         powers = [e]
         g = generator
-        while any(c != 0 for c in g):
+        while any(g[1]):
             powers.append(g)
-            g = algebra.mult(g, generator)
+            g = algebra._times(g, generator)
         if len(powers) != fdim or len(_pivots(powers)) != fdim:
             raise ArithmeticError("generator powers do not span the factor")
         report.factors.append(LocalFactor(
-            idempotent=e, dim=fdim, principal=True, trunc_order=len(powers),
-            basis=tuple(powers), maximal_ideal_generators=1))
+            idempotent=idem, dim=fdim, principal=True, trunc_order=len(powers),
+            basis=tuple(map(_fractions, powers)), maximal_ideal_generators=1))
     return report
 
 
@@ -919,20 +935,23 @@ def reassemble(report: DecompositionReport) -> ReassemblyCheck:
     except SingularMatrixError:
         raise ArithmeticError("factor bases are not linearly independent") from None
     dc, entries = cleared(change.entries)
-    rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+    # the image of b_k is column k of the inverse, over dc
+    columns = [entries[k::n] for k in range(n)]
     offsets = list(zip(factors, itertools.accumulate([0] + [g.d for g in factors])))
 
-    def phi(vec):
-        dv, vs = cleared(vec)
-        coords = [Fraction(sum(a * b for a, b in zip(row, vs) if b), dc * dv) for row in rows]
-        return tuple(g.element(coords[off:off + g.d]) for g, off in offsets)
+    def phi(den, terms):
+        """The factor components of the sum of c * b_k / den over the (k, c) terms."""
+        coords = [sum([c * columns[k][i] for k, c in terms]) for i in range(n)]
+        return tuple(g.from_cleared(*_lowest(den * dc, tuple(coords[off:off + g.d])))
+                     for g, off in offsets)
 
-    images = [phi(algebra.basis_vector(i)) for i in range(n)]
+    images = [phi(1, [(i, 1)]) for i in range(n)]
     checked = 0
-    ok = phi(algebra.unit) == tuple(g.one() for g in factors)
-    for i in range(n):
-        for j in range(n):
-            if phi(algebra.tensor[i][j]) != tuple(a * b for a, b in zip(images[i], images[j])):
+    du, us = cleared(algebra.unit)
+    ok = phi(du, list(enumerate(us))) == tuple(g.one() for g in factors)
+    for i, plane in enumerate(algebra._table):
+        for j, terms in enumerate(plane):
+            if phi(algebra._den, terms) != tuple(a * b for a, b in zip(images[i], images[j])):
                 ok = False
             checked += 1
     return ReassemblyCheck(factors=factors, ok=ok, checked_products=checked)

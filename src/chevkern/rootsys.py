@@ -105,10 +105,13 @@ def root_string(system: RootSystem, alpha: Root, beta: Root) -> tuple:
     """
     if not system.contains(alpha) or not system.contains(beta):
         raise ValueError("both arguments must be roots of %s" % system.kind)
-    if (alpha + beta).coords == tuple(0 for _ in alpha.coords):
-        raise ValueError("opposite roots have no commutator string")
     # each candidate is a coordinate tuple; a Root is built only for a root
     pairs = tuple(zip(alpha.coords, beta.coords))
+    first = tuple(a + b for a, b in pairs)
+    if not any(first):
+        raise ValueError("opposite roots have no commutator string")
+    if first not in system._root_set:  # strings are unbroken: no i alpha + j beta is a root
+        return ()
     found = []
     for i in range(1, 5):
         for j in range(1, 5):

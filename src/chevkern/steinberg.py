@@ -123,6 +123,8 @@ class TameSymbol:
     """
 
     def __init__(self, p: int):
+        if type(p) is not int:
+            raise ValueError("the prime must be an int, not %r" % (p,))
         if p > MAX_PRIME:
             raise ValueError("prime %d is above the limit %d" % (p, MAX_PRIME))
         if not is_prime(p):

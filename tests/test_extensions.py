@@ -29,7 +29,7 @@ from chevkern.extensions import (
     reassemble,
     splitness_verdict,
 )
-from chevkern.kernel import MAX_PARSE_BITS, DomainMismatchError, Matrix, pdivmod, rref
+from chevkern.kernel import MAX_PARSE_BITS, DomainMismatchError, Matrix, cleared, pdivmod, rref
 from chevkern.rings import TruncAlgebra
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -1062,17 +1062,30 @@ def _independent(vectors) -> bool:
     return _rank(vectors) == len(vectors)
 
 
+def _pair(vec) -> tuple:
+    """vec as the (den, ints) pair the decomposition holds: ints over den > 0, lowest terms."""
+    den, nums = cleared(vec)
+    return den, tuple(nums)
+
+
+def _vector(pair) -> tuple:
+    den, nums = pair
+    return tuple(Fraction(v, den) for v in nums)
+
+
 @pytest.mark.parametrize("name", ["split_2_3", "split_1_3_2", "split_2_3_reversed"])
 def test_minpoly_on_block_is_the_minimal_annihilator(name):
+    # the helper takes and returns (den, ints) pairs; its powers are read as Fractions
     alg = TRACE_FORM_ALGEBRAS[name]()
     zero = (Fraction(0),) * alg.dim
     blocks = [alg.unit] + [f.idempotent for f in decompose_algebra(alg).factors]
     for e in blocks:
         for k in range(alg.dim):
             y = alg.mult(e, alg.basis_vector(k))
-            poly, powers = _minpoly_on_block(alg, e, y)
+            poly, pairs = _minpoly_on_block(alg, _pair(e), _pair(y))
+            powers = [_vector(p) for p in pairs]
             # b_k acts on eA as e b_k does
-            assert _minpoly_on_block(alg, e, alg.basis_vector(k)) == (poly, powers)
+            assert _minpoly_on_block(alg, _pair(e), _pair(alg.basis_vector(k))) == (poly, pairs)
             assert poly[-1] == 1
             assert len(powers) == len(poly)
             expected = [e]
@@ -1086,6 +1099,75 @@ def test_minpoly_on_block_is_the_minimal_annihilator(name):
                 total = tuple(c * a + b for a, b in zip(v, total))
             assert total == zero
             assert _independent(powers[:-1])
+
+
+def _cli_algebras(monkeypatch, tmp_path):
+    """The algebras the extensions suite decomposes, recorded from a run of it."""
+    seen = []
+
+    def recorded(algebra):
+        seen.append(algebra)
+        return decompose_algebra(algebra)
+
+    monkeypatch.setattr(cli, "decompose_algebra", recorded)
+    assert cli.main(["extensions", "--output", str(tmp_path / "report.txt")]) == 0
+    monkeypatch.undo()
+    return seen
+
+
+def test_decomposition_and_reassembly_run_on_cleared_vectors(monkeypatch, tmp_path):
+    # the public mult builds Fractions; the decomposition and the reassembly use
+    # the int product on (den, ints) pairs alone
+    algebras = _cli_algebras(monkeypatch, tmp_path)
+    assert len(algebras) == 4
+    algebras += [FinDimAlgebra.load(DATA / "algebra_mixed.txt"),
+                 FinDimAlgebra.from_univariate_quotient(_expand([(0, 1), (2, 3), (-1, 2)]))]
+    calls = []
+    mult = FinDimAlgebra.mult
+
+    def counted(self, x, y):
+        calls.append(self)
+        return mult(self, x, y)
+
+    monkeypatch.setattr(FinDimAlgebra, "mult", counted)
+    reports = [decompose_algebra(alg) for alg in algebras]
+    checks = [reassemble(report) for report in reports if report.all_principal]
+    monkeypatch.undo()
+    assert calls == []
+    assert len(checks) == 5 and all(check.ok for check in checks)
+    # the counter does see the public product
+    monkeypatch.setattr(FinDimAlgebra, "mult", counted)
+    algebras[0].mult(algebras[0].unit, algebras[0].unit)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_FORM_ALGEBRAS))
+def test_local_factors_hold_fractions_in_idempotent_order(name):
+    report = decompose_algebra(TRACE_FORM_ALGEBRAS[name]())
+    for f in report.factors:
+        assert all(type(c) is Fraction for c in f.idempotent)
+        assert all(type(c) is Fraction for v in f.basis for c in v)
+        assert len(f.basis) == f.dim
+    idempotents = [f.idempotent for f in report.factors]
+    assert idempotents == sorted(idempotents)
+
+
+def test_int_product_is_the_cleared_public_product_in_lowest_terms():
+    rng = random.Random(13)
+    algebras = [_rational_quotient(rng, dim) for dim in (1, 3, 5)] + [
+        FinDimAlgebra.truncated(4), FinDimAlgebra.two_generator_square_zero(),
+        FinDimAlgebra.load(DATA / "algebra_mixed.txt")]
+    for alg in algebras:
+        for _ in range(20):
+            x, y = _rational_vector(rng, alg.dim), _rational_vector(rng, alg.dim)
+            # the operands need not be in lowest terms
+            s, t = rng.randint(1, 6), rng.randint(1, 6)
+            (dx, xs), (dy, ys) = _pair(x), _pair(y)
+            den, nums = alg._times((dx * s, tuple(v * s for v in xs)),
+                                   (dy * t, tuple(v * t for v in ys)))
+            assert den > 0 and gcd(den, *nums) == 1
+            assert type(nums) is tuple and all(type(v) is int for v in nums)
+            assert (den, nums) == _pair(alg.mult(x, y))
 
 
 def test_decompose_irrational_residue_field():

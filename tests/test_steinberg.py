@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction as Q
 
@@ -173,6 +174,13 @@ def test_tame_symbol_rejects_bad_input():
     for x, y in ((Q(0), Q(1)), (Q(3), Q(0)), (0, 7), (Q(1, 5), 0)):
         with pytest.raises(ValueError, match="symbols are defined on nonzero arguments"):
             s(x, y)
+
+
+@pytest.mark.parametrize("p", [5.0, True, "5"], ids=["float", "bool", "str"])
+def test_tame_symbol_refuses_a_prime_that_is_not_an_int(p):
+    # refused at construction, not by pow() at the first call
+    with pytest.raises(ValueError, match=r"the prime must be an int, not %s$" % re.escape(repr(p))):
+        TameSymbol(p)
 
 
 @pytest.mark.parametrize("value", [True, False, 0.2, "1/5", object()],
